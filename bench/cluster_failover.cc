@@ -4,8 +4,9 @@
 // the control plane's ReconvergenceRecords), the survivors' aggregate rate
 // after a permanent node crash vs their fault-free baseline, and whether
 // cluster-wide invariants (per-node conservation, fabric accounting, no
-// blackholes) hold at the end of every scenario. Rows land in
-// BENCH_cluster_failover.json for ci/cluster_smoke.sh.
+// blackholes) hold at the end of every scenario. The chaos scenario runs
+// again at `--threads=N` (default 4) and must replay bit-identically. Rows
+// land in BENCH_cluster_failover.json for ci/cluster_smoke.sh.
 
 #include <chrono>
 #include <cinttypes>
@@ -39,35 +40,76 @@ struct ScenarioResult {
   uint64_t suspects = 0;
   bool invariants_ok = false;
   std::string report;
+  double wall_s = 0;
+  // Everything a reordering bug could perturb; must match across `threads`.
+  std::string fingerprint;
 };
 
 struct Scenario {
   int planes = 1;
   FaultPlan plan;  // per-node seeds are derived inside ClusterRouter
-  bool attach_health = true;
   // Direct fault application at a fixed time (empty for injector-driven).
   std::function<void(ClusterControlPlane&, EventQueue&)> faults;
   double disarm_at_ms = 0;  // >0: disarm every injector at this time
 };
 
-ScenarioResult Run(const Scenario& sc, uint64_t seed) {
+// One traffic source per source node, on that node's shard, drawing from a
+// per-node derived stream so the workload is the same for every thread
+// count: 141 Kpps, half the destinations behind other nodes — the
+// cluster_scale §6 workload.
+struct Pump {
+  ClusterRouter* cluster;
+  int node;
+  Rng rng;
+  SimTime gap;
+  SimTime stop_at;
+
+  void Tick() {
+    EventQueue& eng = cluster->node_engine(node);
+    if (eng.now() > stop_at) {
+      return;
+    }
+    int g;
+    if (rng.Chance(0.5)) {
+      int other;
+      do {
+        other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster->num_nodes())));
+      } while (other == node);
+      g = other * cluster->external_ports_per_node() +
+          static_cast<int>(
+              rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node())));
+    } else {
+      g = node * cluster->external_ports_per_node() + 1 +
+          static_cast<int>(
+              rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node() - 1)));
+    }
+    PacketSpec spec;
+    spec.dst_ip = cluster->ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
+    // Source inside the node's own port-0 prefix, so shed traffic's ICMP
+    // unreachables have a route back to the offender.
+    spec.src_ip = cluster->ExternalDstIp(node * cluster->external_ports_per_node(),
+                                         static_cast<uint16_t>(200 + node));
+    cluster->node(node).port(0).InjectFromWire(BuildPacket(spec));
+    eng.ScheduleIn(gap, [this] { Tick(); });
+  }
+};
+
+ScenarioResult Run(const Scenario& sc, uint64_t seed, int threads = 1) {
   ClusterConfig cfg;
   cfg.nodes = kNodes;
   cfg.internal_links = sc.planes;
   cfg.node_config.fault_plan = sc.plan;
   cfg.node_config.fault_plan.seed = seed;
+  cfg.threads = threads;
   ClusterRouter cluster(std::move(cfg));
   ClusterControlPlane control(cluster);
   control.Start();
-  std::unique_ptr<ClusterHealthMonitor> health;
-  if (sc.attach_health) {
-    health = std::make_unique<ClusterHealthMonitor>(cluster, control);
-  }
+  ClusterHealthMonitor health(cluster, control);
   cluster.Start();
 
-  // Deliveries by destination node; snapshot at the measure boundary.
+  // Deliveries by destination node, each counter written only by that
+  // node's shard; snapshot at the measure boundary.
   std::vector<uint64_t> delivered(kNodes, 0);
-  std::vector<uint64_t> at_boundary(kNodes, 0);
   for (int k = 0; k < cluster.num_nodes(); ++k) {
     for (int p = 0; p < cluster.external_ports_per_node(); ++p) {
       cluster.node(k).port(p).SetSink([&delivered, k](Packet&& packet) {
@@ -75,49 +117,21 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
         // accounted separately via icmp_originated.
         auto ip = Ipv4Header::Parse(packet.l3());
         if (ip && ip->protocol != kIpProtoIcmp) {
-          ++delivered[k];
+          ++delivered[static_cast<size_t>(k)];
         }
       });
     }
   }
-  cluster.engine().ScheduleIn(static_cast<SimTime>(kMeasureFromMs * kPsPerMs),
-                              [&] { at_boundary = delivered; });
 
-  // 141 Kpps per source node (nodes 0..2; the victim is egress-only), half
-  // the destinations behind other nodes — the cluster_scale §6 workload.
-  Rng rng(seed ^ 0x7ea5u);
+  // Nodes 0..2 source traffic; the victim is egress-only.
   const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
   const SimTime stop_at = static_cast<SimTime>((kRunMs - 1.0) * kPsPerMs);
-  std::function<void(int)> pump = [&](int node) {
-    if (cluster.engine().now() > stop_at) {
-      return;
-    }
-    int g;
-    if (rng.Chance(0.5)) {
-      int other;
-      do {
-        other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster.num_nodes())));
-      } while (other == node);
-      g = other * cluster.external_ports_per_node() +
-          static_cast<int>(
-              rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node())));
-    } else {
-      g = node * cluster.external_ports_per_node() + 1 +
-          static_cast<int>(
-              rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node() - 1)));
-    }
-    PacketSpec spec;
-    spec.dst_ip = cluster.ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
-    // Source inside the node's own port-0 prefix, so shed traffic's ICMP
-    // unreachables have a route back to the offender.
-    spec.src_ip = cluster.ExternalDstIp(node * cluster.external_ports_per_node(),
-                                        static_cast<uint16_t>(200 + node));
-    cluster.node(node).port(0).InjectFromWire(BuildPacket(spec));
-    cluster.engine().ScheduleIn(gap, [&pump, node] { pump(node); });
-  };
+  std::vector<std::unique_ptr<Pump>> pumps;
   for (int k = 0; k < kNodes; ++k) {
     if (k != kVictim) {
-      pump(k);
+      pumps.push_back(std::unique_ptr<Pump>(new Pump{
+          &cluster, k, Rng(FaultPlan::DeriveNodeSeed(seed ^ 0x7ea5u, k)), gap, stop_at}));
+      pumps.back()->Tick();
     }
   }
 
@@ -134,10 +148,16 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
     });
   }
 
-  cluster.RunForMs(kRunMs);
-  bench::RecordEvents(cluster.engine().events_run());
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster.RunForMs(kMeasureFromMs);
+  const std::vector<uint64_t> at_boundary = delivered;
+  cluster.RunForMs(kRunMs - kMeasureFromMs);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  bench::RecordEvents(cluster.TotalEventsRun());
 
   ScenarioResult r;
+  r.wall_s = wall;
   for (int k = 0; k < kNodes; ++k) {
     const uint64_t window = delivered[static_cast<size_t>(k)] - at_boundary[static_cast<size_t>(k)];
     if (k == kVictim) {
@@ -154,129 +174,11 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
   for (const ReconvergenceRecord& rec : r.records) {
     r.open_records += rec.closed() ? 0 : 1;
   }
-  if (health != nullptr) {
-    r.suspects = health->suspects_raised();
-  }
+  r.suspects = health.suspects_raised();
   const InvariantReport inv = RouterInvariants::CheckCluster(cluster);
   r.invariants_ok = inv.ok();
   r.report = inv.ToString();
-  return r;
-}
 
-// --- sharded chaos (docs/perf.md, "Sharded cluster simulation") ---
-//
-// The chaos scenario again, but on the sharded engine: 2 µs fabric
-// latency, per-node pumps on their own shards (per-node derived seeds, so
-// the workload is interleaving-independent), control plane + federated
-// health on the hub. Run at t=1 and t=N; the runs must be bit-identical.
-
-struct ShardedChaosRun {
-  double wall_s = 0;
-  bool invariants_ok = false;
-  std::string report;
-  uint64_t open_records = 0;
-  std::string fingerprint;
-};
-
-ShardedChaosRun RunShardedChaos(int threads, uint64_t seed) {
-  ClusterConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.internal_links = 2;
-  cfg.node_config.fault_plan = FaultPlan::ClusterChaos(seed);
-  cfg.node_config.fault_plan.seed = seed;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;
-  cfg.threads = threads;
-  ClusterRouter cluster(std::move(cfg));
-  ClusterControlPlane control(cluster);
-  control.Start();
-  ClusterHealthMonitor health(cluster, control);
-  cluster.Start();
-
-  // Per-destination-node counters, each written only by that node's shard.
-  std::vector<uint64_t> delivered(kNodes, 0);
-  for (int k = 0; k < cluster.num_nodes(); ++k) {
-    for (int p = 0; p < cluster.external_ports_per_node(); ++p) {
-      cluster.node(k).port(p).SetSink([&delivered, k](Packet&& packet) {
-        auto ip = Ipv4Header::Parse(packet.l3());
-        if (ip && ip->protocol != kIpProtoIcmp) {
-          ++delivered[static_cast<size_t>(k)];
-        }
-      });
-    }
-  }
-
-  struct Pump {
-    ClusterRouter* cluster;
-    int node;
-    Rng rng;
-    SimTime gap;
-    SimTime stop_at;
-    void Tick() {
-      EventQueue& eng = cluster->node_engine(node);
-      if (eng.now() > stop_at) {
-        return;
-      }
-      int g;
-      if (rng.Chance(0.5)) {
-        int other;
-        do {
-          other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster->num_nodes())));
-        } while (other == node);
-        g = other * cluster->external_ports_per_node() +
-            static_cast<int>(
-                rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node())));
-      } else {
-        g = node * cluster->external_ports_per_node() + 1 +
-            static_cast<int>(
-                rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node() - 1)));
-      }
-      PacketSpec spec;
-      spec.dst_ip = cluster->ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
-      spec.src_ip = cluster->ExternalDstIp(node * cluster->external_ports_per_node(),
-                                           static_cast<uint16_t>(200 + node));
-      cluster->node(node).port(0).InjectFromWire(BuildPacket(spec));
-      eng.ScheduleIn(gap, [this] { Tick(); });
-    }
-  };
-  const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
-  const SimTime stop_at = static_cast<SimTime>((kRunMs - 1.0) * kPsPerMs);
-  std::vector<std::unique_ptr<Pump>> pumps;
-  for (int k = 0; k < kNodes; ++k) {
-    if (k == kVictim) {
-      continue;
-    }
-    pumps.push_back(std::unique_ptr<Pump>(new Pump{
-        &cluster, k, Rng(FaultPlan::DeriveNodeSeed(seed ^ 0x7ea5u, k)), gap, stop_at}));
-  }
-  for (auto& pump : pumps) {
-    pump->Tick();
-  }
-
-  cluster.engine().ScheduleIn(12 * kPsPerMs, [&] {
-    for (int k = 0; k < cluster.num_nodes(); ++k) {
-      if (FaultInjector* fi = cluster.node(k).fault_injector()) {
-        fi->set_armed(false);
-      }
-    }
-  });
-
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.RunForMs(kRunMs);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  bench::RecordEvents(cluster.TotalEventsRun());
-
-  ShardedChaosRun run;
-  run.wall_s = wall;
-  const InvariantReport inv = RouterInvariants::CheckCluster(cluster);
-  run.invariants_ok = inv.ok();
-  run.report = inv.ToString();
-  for (const ReconvergenceRecord& rec : control.records()) {
-    run.open_records += rec.closed() ? 0 : 1;
-  }
-
-  // Everything a reordering bug could perturb: deliveries, per-node stats,
-  // the control plane's full record list, health counters, event totals.
   std::ostringstream fp;
   for (int k = 0; k < kNodes; ++k) {
     const RouterStats& stats = cluster.node(k).stats();
@@ -284,15 +186,15 @@ ShardedChaosRun RunShardedChaos(int threads, uint64_t seed) {
        << ",fwd=" << stats.forwarded << ",icmp=" << stats.icmp_originated
        << ",wd=" << stats.routes_withdrawn << ",spf=" << stats.spf_recomputes << ";";
   }
-  for (const ReconvergenceRecord& rec : control.records()) {
+  for (const ReconvergenceRecord& rec : r.records) {
     fp << "rec(" << static_cast<int>(rec.kind) << "," << rec.node << "," << rec.fault_at
        << "," << rec.detected_at << "," << rec.reconverged_at << ");";
   }
   fp << "susp=" << health.suspects_raised() << ",acked=" << health.probes_acked()
      << ",failed=" << health.probes_failed() << ",ev=" << cluster.TotalEventsRun()
      << ",now=" << cluster.now();
-  run.fingerprint = fp.str();
-  return run;
+  r.fingerprint = fp.str();
+  return r;
 }
 
 struct KindStats {
@@ -435,7 +337,11 @@ int main(int argc, char** argv) {
   all_ok = all_ok && lossy.records.empty();
 
   // Injector-driven chaos: every cluster fault class drawn from the derived
-  // per-node streams, disarmed mid-run so the tail is pure recovery.
+  // per-node streams, disarmed mid-run so the tail is pure recovery. Run at
+  // t=1 and t=N: the two runs must produce bit-identical fingerprints
+  // (traffic, stats, reconvergence records, health counters) — a reordering
+  // bug anywhere in the window barrier shows up here as a divergence, and
+  // fails the bench.
   Scenario chaos;
   chaos.planes = 2;
   chaos.plan = FaultPlan::ClusterChaos(seed);
@@ -449,36 +355,24 @@ int main(int argc, char** argv) {
       " route withdrawals, %" PRIu64 " ICMP unreachables\n",
       chaotic.records.size(), chaotic.spf_recomputes, chaotic.routes_withdrawn,
       chaotic.icmp_originated);
-
-  // Sharded chaos: the same fault classes on the parallel engine. The t=1
-  // and t=N runs must produce bit-identical fingerprints (traffic, stats,
-  // reconvergence records, health counters) — a reordering bug anywhere in
-  // the window barrier shows up here as a divergence, and fails the bench.
-  const ShardedChaosRun seq = RunShardedChaos(1, seed);
-  const ShardedChaosRun par = RunShardedChaos(sharded_threads, seed);
-  const bool sharded_deterministic = seq.fingerprint == par.fingerprint;
-  if (!seq.invariants_ok) {
-    all_ok = false;
-    std::printf("  sharded chaos t=1 invariants FAIL: %s\n", seq.report.c_str());
-  }
-  if (!par.invariants_ok) {
-    all_ok = false;
-    std::printf("  sharded chaos t=%d invariants FAIL: %s\n", sharded_threads,
-                par.report.c_str());
-  }
+  const ScenarioResult par = Run(chaos, seed, sharded_threads);
+  char par_name[32];
+  std::snprintf(par_name, sizeof(par_name), "chaos t=%d", sharded_threads);
+  check(par_name, par);
+  const bool sharded_deterministic = chaotic.fingerprint == par.fingerprint;
   if (!sharded_deterministic) {
     all_ok = false;
     std::printf("  sharded chaos DIVERGENCE:\n    t=1: %s\n    t=%d: %s\n",
-                seq.fingerprint.c_str(), sharded_threads, par.fingerprint.c_str());
+                chaotic.fingerprint.c_str(), sharded_threads, par.fingerprint.c_str());
   }
-  all_ok = all_ok && seq.open_records == 0 && par.open_records == 0;
-  bench::Row("cluster: sharded chaos wall t=1", 0.0, seq.wall_s, "s");
+  all_ok = all_ok && chaotic.open_records == 0 && par.open_records == 0;
+  bench::Row("cluster: sharded chaos wall t=1", 0.0, chaotic.wall_s, "s");
   char sharded_label[64];
   std::snprintf(sharded_label, sizeof(sharded_label), "cluster: sharded chaos wall t=%d",
                 sharded_threads);
   bench::Row(sharded_label, 0.0, par.wall_s, "s");
   bench::Row("cluster: sharded chaos speedup", 0.0,
-             par.wall_s > 0 ? seq.wall_s / par.wall_s : 0.0, "x");
+             par.wall_s > 0 ? chaotic.wall_s / par.wall_s : 0.0, "x");
   bench::Row("cluster: sharded chaos deterministic", 1.0,
              sharded_deterministic ? 1.0 : 0.0, "bool");
 

@@ -325,7 +325,6 @@ ClusterFloodPoint RunClusterFlood() {
   ClusterConfig cfg;
   cfg.nodes = 8;
   cfg.internal_links = 2;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;
   cfg.threads = 2;
   cfg.node_config.port_rates_bps = std::vector<double>(4, 1e9);
   ClusterRouter cluster(std::move(cfg));

@@ -157,7 +157,6 @@ RollingRun RunRolling(const FaultPlan& plan, uint64_t pump_seed, bool roll) {
   ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.internal_links = 2;
-  ccfg.fabric_latency_ps = 2 * kPsPerUs;
   ccfg.threads = 4;
   ccfg.node_config.fault_plan = plan;
   ClusterRouter cluster(std::move(ccfg));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <iterator>
+#include <tuple>
 
 #include "src/fault/fault_injector.h"
 #include "src/forwarders/native.h"
@@ -21,9 +23,8 @@ MacAddr ClusterControlMac(int node, int plane) {
 }
 
 void SwitchFabric::Attach(const MacAddr& mac, MacPort& port) {
-  members_[mac] = &port;
+  members_[mac].port = &port;
   member_stats_[mac];
-  port.SetSink([this, mac](Packet&& packet) { Deliver(mac, std::move(packet)); });
 }
 
 void SwitchFabric::AttachControlSink(const MacAddr& mac, std::function<void(Packet&&)> sink) {
@@ -31,16 +32,21 @@ void SwitchFabric::AttachControlSink(const MacAddr& mac, std::function<void(Pack
   member_stats_[mac];
 }
 
-void SwitchFabric::SendFrom(const MacAddr& src_mac, Packet&& packet) {
-  Deliver(src_mac, std::move(packet));
-}
-
 SwitchFabric::MemberStats SwitchFabric::member_stats(const MacAddr& mac) const {
   auto it = member_stats_.find(mac);
   return it == member_stats_.end() ? MemberStats{} : it->second;
 }
 
-void SwitchFabric::Deliver(const MacAddr& src_mac, Packet&& packet) {
+void SwitchFabric::Member::InjectNext() {
+  Packet packet = std::move(inbox[head++]);
+  if (head == inbox.size()) {
+    inbox.clear();
+    head = 0;
+  }
+  port->InjectFromWire(std::move(packet));
+}
+
+void SwitchFabric::SendFrom(const MacAddr& src_mac, Packet&& packet) {
   MemberStats& stats = member_stats_[src_mac];
   auto eth = EthernetHeader::Parse(packet.bytes());
   if (!eth) {
@@ -78,24 +84,27 @@ void SwitchFabric::Deliver(const MacAddr& src_mac, Packet&& packet) {
   }
   ++forwarded_;
   ++stats.forwarded;
-  if (member != members_.end()) {
-    MacPort* port = member->second;
-    if (hub_ != nullptr) {
-      // Sharded: the destination port lives on another shard, which sits at
-      // (or before) the hub's clock — hand the frame to its engine instead
-      // of touching the port from here.
-      port->engine().Schedule(hub_->now(), [port, p = std::move(packet)]() mutable {
-        port->InjectFromWire(std::move(p));
-      });
-    } else {
-      port->InjectFromWire(std::move(packet));
-    }
-  } else {
+  if (member == members_.end()) {
     control->second(std::move(packet));
+    return;
   }
+  // The destination port lives on another engine, which sits at (or before)
+  // the hub's clock: hand the frame to that engine instead of touching the
+  // port from here.
+  Member* m = &member->second;
+  m->inbox.push_back(std::move(packet));
+  m->port->engine().Schedule(hub_.now(), [m] { m->InjectNext(); });
 }
 
 ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) {
+  if (config_.fabric_latency_ps <= 0) {
+    // The latency is the lookahead window: without it a frame could land in
+    // the window that sent it, and no window width keeps the run exact.
+    NPR_ERROR("ClusterConfig::fabric_latency_ps must be positive (got %lld ps)",
+              static_cast<long long>(config_.fabric_latency_ps));
+    std::abort();
+  }
+
   assert(config_.nodes >= 2);
   assert(config_.internal_links >= 1);
   RouterConfig node_cfg = config_.node_config;
@@ -112,7 +121,7 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
 
   planes_.reserve(static_cast<size_t>(config_.internal_links));
   for (int plane = 0; plane < config_.internal_links; ++plane) {
-    planes_.push_back(std::make_unique<SwitchFabric>());
+    planes_.push_back(std::make_unique<SwitchFabric>(engine_));
     planes_.back()->set_gate([this, plane](const MacAddr& src, const MacAddr& dst) {
       return GateFrame(plane, src, dst);
     });
@@ -121,19 +130,12 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
   node_up_.assign(static_cast<size_t>(config_.nodes), true);
   link_up_.assign(static_cast<size_t>(config_.nodes * config_.internal_links), true);
 
-  if (sharded()) {
-    // One engine per node; the cluster's own engine_ becomes the hub. The
-    // fabric (gate verdicts, stats, control sinks) runs entirely on the hub,
-    // and member delivery is deferred onto the destination shard.
-    shard_engines_.reserve(static_cast<size_t>(config_.nodes));
-    for (int k = 0; k < config_.nodes; ++k) {
-      shard_engines_.push_back(std::make_unique<EventQueue>());
-    }
-    mailboxes_.resize(static_cast<size_t>(config_.nodes));
-    for (auto& plane : planes_) {
-      plane->set_deferred_delivery(&engine_);
-    }
+  // One engine per node; the cluster's own engine_ is the hub.
+  node_engines_.reserve(static_cast<size_t>(config_.nodes));
+  for (int k = 0; k < config_.nodes; ++k) {
+    node_engines_.push_back(std::make_unique<EventQueue>());
   }
+  mailboxes_.resize(static_cast<size_t>(config_.nodes));
 
   nodes_.reserve(static_cast<size_t>(config_.nodes));
   for (int k = 0; k < config_.nodes; ++k) {
@@ -148,71 +150,51 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
     for (int plane = 0; plane < config_.internal_links; ++plane) {
       MacPort& port = nodes_.back()->port(first_internal_port_ + plane);
       planes_[static_cast<size_t>(plane)]->Attach(ClusterNodeMac(k, plane), port);
-      if (sharded()) {
-        // Attach() wired the port's sink straight into the fabric; in
-        // sharded mode the transmit side runs on node k's shard, so the
-        // sink must only touch k-local state: it timestamps the frame with
-        // the fabric latency and parks it in k's mailbox. The barrier
-        // offers it to the fabric (on the hub) in deterministic order.
-        port.SetSink([this, k, plane](Packet&& packet) {
-          FabricMailbox& mb = mailboxes_[static_cast<size_t>(k)];
-          mb.entries.push_back(FabricMailbox::Entry{
-              node_engine(k).now() + config_.fabric_latency_ps, plane, mb.next_seq++,
-              std::move(packet)});
-        });
-      }
+      // The transmit side runs on node k's shard, so the sink only touches
+      // k-local state: it timestamps the frame with the fabric latency and
+      // parks it in k's mailbox. The barrier offers it to the fabric (on the
+      // hub) in deterministic order.
+      port.SetSink([this, k, plane](Packet&& packet) {
+        FabricMailbox& mb = mailboxes_[static_cast<size_t>(k)];
+        mb.entries.push_back(Crossing{node_engine(k).now() + config_.fabric_latency_ps, k, plane,
+                                      mb.next_seq++, std::move(packet)});
+      });
     }
   }
 
-  if (sharded()) {
-    std::vector<EventQueue*> shards;
-    shards.reserve(shard_engines_.size());
-    for (auto& e : shard_engines_) {
-      shards.push_back(e.get());
-    }
-    const SimTime window =
-        config_.window_ps > 0 ? config_.window_ps : config_.fabric_latency_ps;
-    shard_group_ =
-        std::make_unique<ShardGroup>(&engine_, std::move(shards), window, config_.threads);
-    shard_group_->set_merge_hook([this](SimTime window_start) { MergeMailboxes(window_start); });
+  std::vector<EventQueue*> shards;
+  shards.reserve(node_engines_.size());
+  for (auto& e : node_engines_) {
+    shards.push_back(e.get());
   }
+  const SimTime window = config_.window_ps > 0 ? config_.window_ps : config_.fabric_latency_ps;
+  shard_group_ =
+      std::make_unique<ShardGroup>(&engine_, std::move(shards), window, config_.threads);
+  shard_group_->set_merge_hook([this](SimTime window_start) { MergeMailboxes(window_start); });
 }
 
 void ClusterRouter::MergeMailboxes(SimTime window_start) {
-  // Flatten all mailboxes, then impose the deterministic total order
-  // (deliver_at, src_node, seq): the hub's (time, insertion-seq) FIFO then
-  // replays them identically no matter how many threads filled the boxes.
-  struct Merged {
-    SimTime deliver_at;
-    int src_node;
-    uint64_t seq;
-    int plane;
-    Packet packet;
-  };
-  std::vector<Merged> merged;
-  size_t total = 0;
-  for (const FabricMailbox& mb : mailboxes_) {
-    total += mb.entries.size();
-  }
-  merged.reserve(total);
-  for (int k = 0; k < num_nodes(); ++k) {
-    FabricMailbox& mb = mailboxes_[static_cast<size_t>(k)];
-    for (FabricMailbox::Entry& e : mb.entries) {
-      merged.push_back(Merged{e.deliver_at, k, e.seq, e.plane, std::move(e.packet)});
-    }
+  // Crossings still pending (possible when a window was narrower than the
+  // latency) move to the front. Every new one was transmitted after the
+  // last barrier, so it is due no earlier than any of them.
+  crossings_.erase(crossings_.begin(), crossings_.begin() + next_crossing_);
+  next_crossing_ = 0;
+  const size_t first_new = crossings_.size();
+  for (FabricMailbox& mb : mailboxes_) {
+    std::move(mb.entries.begin(), mb.entries.end(), std::back_inserter(crossings_));
     mb.entries.clear();
   }
-  std::sort(merged.begin(), merged.end(), [](const Merged& a, const Merged& b) {
-    if (a.deliver_at != b.deliver_at) {
-      return a.deliver_at < b.deliver_at;
-    }
-    if (a.src_node != b.src_node) {
-      return a.src_node < b.src_node;
-    }
-    return a.seq < b.seq;
-  });
-  for (Merged& e : merged) {
-    if (e.deliver_at < window_start) {
+  // Impose the deterministic total order (deliver_at, src_node, seq): the
+  // hub's (time, insertion-seq) FIFO then replays them identically no
+  // matter how many threads filled the boxes.
+  std::sort(crossings_.begin() + first_new, crossings_.end(),
+            [](const Crossing& a, const Crossing& b) {
+              return std::tie(a.deliver_at, a.src_node, a.seq) <
+                     std::tie(b.deliver_at, b.src_node, b.seq);
+            });
+  for (size_t i = first_new; i < crossings_.size(); ++i) {
+    const Crossing& c = crossings_[i];
+    if (c.deliver_at < window_start) {
       // A frame due before the window we are about to run: the window was
       // wider than the fabric latency, so shards already simulated past its
       // delivery time. Silently reordering it would be a nondeterminism
@@ -220,23 +202,27 @@ void ClusterRouter::MergeMailboxes(SimTime window_start) {
       NPR_ERROR(
           "lookahead violation: frame from node %d due at %lld ps, window starts at %lld ps "
           "(window wider than fabric latency?)",
-          e.src_node, static_cast<long long>(e.deliver_at),
+          c.src_node, static_cast<long long>(c.deliver_at),
           static_cast<long long>(window_start));
       std::abort();
     }
-    engine_.Schedule(e.deliver_at,
-                     [this, plane = e.plane, src = ClusterNodeMac(e.src_node, e.plane),
-                      p = std::move(e.packet)]() mutable {
-                       planes_[static_cast<size_t>(plane)]->SendFrom(src, std::move(p));
-                     });
+    // One hub event per crossing; they run in buffer order.
+    engine_.Schedule(c.deliver_at, [this] { OfferNextCrossing(); });
   }
+}
+
+void ClusterRouter::OfferNextCrossing() {
+  Crossing& c = crossings_[next_crossing_++];
+  assert(c.deliver_at == engine_.now());
+  planes_[static_cast<size_t>(c.plane)]->SendFrom(ClusterNodeMac(c.src_node, c.plane),
+                                                  std::move(c.packet));
 }
 
 ClusterRouter::~ClusterRouter() {
   // Pending events (hub and shards) reference the member routers; drop them
   // before the nodes (declared after the engines) are destroyed.
   engine_.Clear();
-  for (auto& e : shard_engines_) {
+  for (auto& e : node_engines_) {
     e->Clear();
   }
 }
@@ -337,7 +323,6 @@ void ClusterRouter::Start() {
 }
 
 void ClusterRouter::StartMeasurement() {
-  window_start_ = engine_.now();
   for (auto& n : nodes_) {
     n->StartMeasurement();
   }

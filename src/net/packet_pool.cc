@@ -42,7 +42,10 @@ bool PacketPool::GrowClass(int cls) {
     }
     want = std::min<uint32_t>(want, max_frames_per_class_ - frames_in_class_[cls]);
   }
-  const size_t stride = sizeof(FrameBuf) + kClassBytes[cls];
+  // Aligned, so no FrameBuf's atomic refcount is misaligned (undefined
+  // behaviour) or straddles a cache line.
+  constexpr size_t kAlign = alignof(FrameBuf);
+  const size_t stride = (sizeof(FrameBuf) + kClassBytes[cls] + kAlign - 1) / kAlign * kAlign;
   void* slab = ::operator new(stride * want);
   slabs_.push_back(slab);
   for (uint32_t i = 0; i < want; ++i) {

@@ -9,100 +9,134 @@
 namespace npr {
 namespace {
 
-TEST(SwitchFabric, DeliversByDestinationMac) {
-  EventQueue engine;
-  MacPort a(engine, 0, 1e9);
-  MacPort b(engine, 1, 1e9);
-  SwitchFabric fabric;
-  fabric.Attach(ClusterNodeMac(0), a);
-  fabric.Attach(ClusterNodeMac(1), b);
-
-  PacketSpec spec;
-  spec.eth_dst = ClusterNodeMac(1);
-  Packet p = BuildPacket(spec);
-  // Frames transmitted by member A enter the fabric via its sink; simulate
-  // one by handing the packet straight to A's sink path: reassemble via Tx.
-  for (const auto& mp : SegmentIntoMps(p, 0)) {
-    a.TxAccept(mp);
+// The fabric runs on a hub engine and its member ports on an engine of
+// their own, as in every cluster (where each node is a shard). Frames enter
+// through SendFrom, called from a hub event.
+struct FabricRig {
+  FabricRig() {
+    fabric.Attach(ClusterNodeMac(0), a);
+    fabric.Attach(ClusterNodeMac(1), b);
   }
-  engine.RunAll();
-  EXPECT_EQ(fabric.forwarded(), 1u);
-  EXPECT_TRUE(b.RxReady());
+
+  static Packet FrameTo(const MacAddr& dst) {
+    PacketSpec spec;
+    spec.eth_dst = dst;
+    return BuildPacket(spec);
+  }
+
+  // Offers one frame from member 0 at hub time `at`, then runs the port
+  // engine to completion.
+  void SendAt(SimTime at, const MacAddr& dst) {
+    hub.Schedule(at, [this, dst] { fabric.SendFrom(ClusterNodeMac(0), FrameTo(dst)); });
+    hub.RunUntil(at);
+    ports.RunAll();
+  }
+
+  EventQueue hub;
+  EventQueue ports;
+  MacPort a{ports, 0, 1e9};
+  MacPort b{ports, 1, 1e9};
+  SwitchFabric fabric{hub};
+};
+
+TEST(SwitchFabric, DeliversByDestinationMac) {
+  FabricRig rig;
+  const SimTime at = 3 * kPsPerUs;
+  rig.hub.Schedule(at, [&rig] {
+    rig.fabric.SendFrom(ClusterNodeMac(0), FabricRig::FrameTo(ClusterNodeMac(1)));
+  });
+  rig.hub.RunUntil(at);
+  EXPECT_EQ(rig.fabric.forwarded(), 1u);
+  // The hub only handed the frame over: the destination port's engine
+  // injects it, at the hub's time and not before.
+  EXPECT_EQ(rig.ports.pending(), 1u);
+  rig.ports.RunUntil(at - 1);
+  EXPECT_EQ(rig.ports.events_run(), 0u);
+  rig.ports.RunUntil(at);
+  EXPECT_EQ(rig.ports.events_run(), 1u);
+  rig.ports.RunAll();
+  EXPECT_EQ(rig.b.rx_offered(), 1u);
+  EXPECT_TRUE(rig.b.RxReady());
+  EXPECT_EQ(rig.a.rx_offered(), 0u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterNodeMac(0)).forwarded, 1u);
+}
+
+TEST(SwitchFabric, FramesReachTheirPortInOfferOrder) {
+  // Several frames handed over at the same hub instant are injected in the
+  // order they were offered (told apart by the last byte of the source IP).
+  FabricRig rig;
+  rig.hub.Schedule(kPsPerUs, [&rig] {
+    for (uint32_t tag = 1; tag <= 3; ++tag) {
+      PacketSpec spec;
+      spec.eth_dst = ClusterNodeMac(1);
+      spec.src_ip = 0x0a000000u | tag;
+      rig.fabric.SendFrom(ClusterNodeMac(0), BuildPacket(spec));
+    }
+  });
+  rig.hub.RunUntil(kPsPerUs);
+  rig.ports.RunAll();
+  ASSERT_EQ(rig.b.rx_frames(), 3u);
+  constexpr size_t kSrcIpLastByte = kEthHeaderBytes + 15;
+  for (uint8_t tag = 1; tag <= 3; ++tag) {
+    std::optional<Mp> mp = rig.b.RxClaim();
+    ASSERT_TRUE(mp);
+    EXPECT_EQ(mp->data[kSrcIpLastByte], tag);
+  }
 }
 
 TEST(SwitchFabric, UnknownMacCounted) {
-  EventQueue engine;
-  MacPort a(engine, 0, 1e9);
-  SwitchFabric fabric;
-  fabric.Attach(ClusterNodeMac(0), a);
-  PacketSpec spec;
-  spec.eth_dst = ClusterNodeMac(7);  // nobody home
-  Packet p = BuildPacket(spec);
-  for (const auto& mp : SegmentIntoMps(p, 0)) {
-    a.TxAccept(mp);
-  }
-  engine.RunAll();
-  EXPECT_EQ(fabric.forwarded(), 0u);
-  EXPECT_EQ(fabric.unknown_destination(), 1u);
+  FabricRig rig;
+  rig.SendAt(kPsPerUs, ClusterNodeMac(7));  // nobody home
+  EXPECT_EQ(rig.fabric.forwarded(), 0u);
+  EXPECT_EQ(rig.fabric.unknown_destination(), 1u);
+  EXPECT_EQ(rig.ports.events_run(), 0u) << "nothing handed to any port";
   // The drop is charged to the transmitting member: a node whose FIB points
   // at a MAC nobody answers on is identifiable, not just a global count.
-  EXPECT_EQ(fabric.member_stats(ClusterNodeMac(0)).unknown_dropped, 1u);
-  EXPECT_EQ(fabric.member_stats(ClusterNodeMac(7)).unknown_dropped, 0u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterNodeMac(0)).unknown_dropped, 1u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterNodeMac(7)).unknown_dropped, 0u);
 }
 
 TEST(SwitchFabric, GateDropsChargeTransmittingMember) {
-  EventQueue engine;
-  MacPort a(engine, 0, 1e9);
-  MacPort b(engine, 1, 1e9);
-  SwitchFabric fabric;
-  fabric.Attach(ClusterNodeMac(0), a);
-  fabric.Attach(ClusterNodeMac(1), b);
+  FabricRig rig;
   FabricDrop verdict = FabricDrop::kNone;
-  fabric.set_gate([&](const MacAddr&, const MacAddr&) { return verdict; });
+  rig.fabric.set_gate([&](const MacAddr&, const MacAddr&) { return verdict; });
 
-  auto send = [&] {
-    PacketSpec spec;
-    spec.eth_dst = ClusterNodeMac(1);
-    Packet p = BuildPacket(spec);
-    for (const auto& mp : SegmentIntoMps(p, 0)) {
-      a.TxAccept(mp);
-    }
-    engine.RunAll();
-  };
-  send();
+  rig.SendAt(1 * kPsPerUs, ClusterNodeMac(1));
   verdict = FabricDrop::kLinkDown;
-  send();
+  rig.SendAt(2 * kPsPerUs, ClusterNodeMac(1));
   verdict = FabricDrop::kNodeDown;
-  send();
+  rig.SendAt(3 * kPsPerUs, ClusterNodeMac(1));
   verdict = FabricDrop::kInjected;
-  send();
+  rig.SendAt(4 * kPsPerUs, ClusterNodeMac(1));
 
-  const SwitchFabric::MemberStats ms = fabric.member_stats(ClusterNodeMac(0));
+  const SwitchFabric::MemberStats ms = rig.fabric.member_stats(ClusterNodeMac(0));
   EXPECT_EQ(ms.forwarded, 1u);
   EXPECT_EQ(ms.link_down_dropped, 1u);
   EXPECT_EQ(ms.node_down_dropped, 1u);
   EXPECT_EQ(ms.injected_dropped, 1u);
-  EXPECT_EQ(fabric.forwarded(), 1u);
-  EXPECT_EQ(fabric.gate_dropped(), 3u);
+  EXPECT_EQ(rig.fabric.forwarded(), 1u);
+  EXPECT_EQ(rig.fabric.gate_dropped(), 3u);
+  EXPECT_EQ(rig.b.rx_offered(), 1u) << "only the admitted frame reached the port";
   // The receiving member transmitted nothing and is charged nothing.
-  EXPECT_EQ(fabric.member_stats(ClusterNodeMac(1)).forwarded, 0u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterNodeMac(1)).forwarded, 0u);
 }
 
 TEST(SwitchFabric, ControlSinkCrossesTheSameGate) {
-  SwitchFabric fabric;
+  FabricRig rig;
   int got = 0;
-  fabric.AttachControlSink(ClusterControlMac(1), [&](Packet&&) { ++got; });
+  rig.fabric.AttachControlSink(ClusterControlMac(1), [&](Packet&&) { ++got; });
 
-  PacketSpec spec;
-  spec.eth_dst = ClusterControlMac(1);
-  fabric.SendFrom(ClusterControlMac(0), BuildPacket(spec));
+  // Control sinks are hub residents: delivery is synchronous, no port
+  // engine involved.
+  rig.fabric.SendFrom(ClusterControlMac(0), FabricRig::FrameTo(ClusterControlMac(1)));
   EXPECT_EQ(got, 1);
+  EXPECT_EQ(rig.ports.pending(), 0u);
   // A down link starves control frames exactly as it starves data.
-  fabric.set_gate([](const MacAddr&, const MacAddr&) { return FabricDrop::kLinkDown; });
-  fabric.SendFrom(ClusterControlMac(0), BuildPacket(spec));
+  rig.fabric.set_gate([](const MacAddr&, const MacAddr&) { return FabricDrop::kLinkDown; });
+  rig.fabric.SendFrom(ClusterControlMac(0), FabricRig::FrameTo(ClusterControlMac(1)));
   EXPECT_EQ(got, 1);
-  EXPECT_EQ(fabric.member_stats(ClusterControlMac(0)).link_down_dropped, 1u);
-  EXPECT_EQ(fabric.member_stats(ClusterControlMac(0)).forwarded, 1u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterControlMac(0)).link_down_dropped, 1u);
+  EXPECT_EQ(rig.fabric.member_stats(ClusterControlMac(0)).forwarded, 1u);
 }
 
 class ClusterTest : public ::testing::Test {
@@ -250,8 +284,9 @@ TEST_F(ClusterTest, SustainsExternalLineRatePlusInternalTraffic) {
     spec.pattern = TrafficSpec::DstPattern::kSinglePort;
     // Node 0 sends to node 1's prefix 10.8/16 and vice versa -> all remote.
     spec.single_dst_port = static_cast<uint8_t>(k == 0 ? 8 : 1);
-    gens.push_back(std::make_unique<TrafficGen>(cluster->engine(), cluster->node(k).port(0),
-                                                spec, static_cast<uint64_t>(k + 5)));
+    gens.push_back(std::make_unique<TrafficGen>(cluster->node_engine(k),
+                                                cluster->node(k).port(0), spec,
+                                                static_cast<uint64_t>(k + 5)));
     gens.back()->Start(12 * kPsPerMs);
   }
   cluster->RunForMs(2.0);

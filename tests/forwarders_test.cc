@@ -135,6 +135,11 @@ struct FilterCase {
   bool dropped;
 };
 
+// Printed into the test name, so it must not show the struct's padding byte.
+void PrintTo(const FilterCase& c, std::ostream* os) {
+  *os << "port " << c.port << (c.dropped ? " dropped" : " sent");
+}
+
 class PortFilterRanges : public ForwarderTest, public ::testing::WithParamInterface<FilterCase> {};
 
 TEST_P(PortFilterRanges, BlocksConfiguredRanges) {

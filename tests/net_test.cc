@@ -445,6 +445,26 @@ TEST(PacketPool, PicksSmallestFittingClassAndRejectsOversize) {
   EXPECT_EQ(pool.high_water(), 3u);
 }
 
+TEST(PacketPool, EveryClassHandsOutAlignedFrames) {
+  // Frames sit back to back in a slab; a stride that is not a multiple of
+  // FrameBuf's alignment misaligns every other one, atomic refcount included.
+  PacketPool pool;
+  for (int cls = 0; cls < PacketPool::kNumClasses; ++cls) {
+    std::vector<FrameBuf*> bufs;
+    for (int i = 0; i < 8; ++i) {
+      FrameBuf* buf = pool.TryAcquire(PacketPool::kClassBytes[cls]);
+      ASSERT_NE(buf, nullptr);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(buf) % alignof(FrameBuf), 0u)
+          << "class " << cls << ", frame " << i;
+      bufs.push_back(buf);
+    }
+    for (FrameBuf* buf : bufs) {
+      buf->Unref();
+    }
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
 TEST(PacketPool, CapExhaustionFailsGracefullyAndRecovers) {
   PacketPool pool;
   pool.set_max_frames_per_class(2);

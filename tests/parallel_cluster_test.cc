@@ -137,9 +137,7 @@ TEST(ParallelClusterGroup, HubPhaseMaySeedShardsWithinTheWindow) {
 TEST(ParallelClusterSmoke, CrossNodeFrameArrivesWithFabricLatency) {
   ClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;
   ClusterRouter cluster(std::move(cfg));
-  ASSERT_TRUE(cluster.sharded());
   cluster.InstallClusterRoutes();
 
   std::vector<uint64_t> delivered(static_cast<size_t>(cluster.num_nodes()), 0);
@@ -223,7 +221,6 @@ std::string RunFingerprint(uint64_t seed, const FaultPlan& plan, int threads) {
   ClusterConfig cfg;
   cfg.nodes = 3;
   cfg.internal_links = 2;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;
   cfg.threads = threads;
   cfg.node_config.fault_plan = plan;
   ClusterRouter cluster(std::move(cfg));
@@ -359,8 +356,7 @@ TEST(ParallelClusterLookahead, WindowWiderThanFabricLatencyFailsLoudly) {
   auto run = [] {
     ClusterConfig cfg;
     cfg.nodes = 2;
-    cfg.fabric_latency_ps = 2 * kPsPerUs;
-    cfg.window_ps = 8 * kPsPerUs;  // 4x the lookahead: frames land mid-window
+    cfg.window_ps = 8 * kPsPerUs;  // 4x the default lookahead: frames land mid-window
     cfg.threads = 1;               // single-threaded so the death is fork-safe
     ClusterRouter cluster(std::move(cfg));
     cluster.InstallClusterRoutes();
@@ -376,6 +372,18 @@ TEST(ParallelClusterLookahead, WindowWiderThanFabricLatencyFailsLoudly) {
     cluster.RunForMs(1.0);
   };
   EXPECT_DEATH(run(), "lookahead violation");
+}
+
+TEST(ParallelClusterLookahead, NonPositiveFabricLatencyIsRejected) {
+  // The fabric latency is the lookahead window; a zero-latency fabric has
+  // no window in which shards are independent, so construction aborts.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const SimTime latency : {SimTime{0}, SimTime{-1}}) {
+    ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.fabric_latency_ps = latency;
+    EXPECT_DEATH({ ClusterRouter cluster(std::move(cfg)); }, "fabric_latency_ps must be positive");
+  }
 }
 
 }  // namespace

@@ -554,7 +554,6 @@ TEST(UpgradeCluster, RollingUpgradeUnderChaosEndsConsistentWithoutFalseSuspicion
   ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.internal_links = 2;
-  ccfg.fabric_latency_ps = 2 * kPsPerUs;
   ccfg.threads = 4;
   ccfg.node_config.fault_plan = FaultPlan::UpgradeChaos();
   ClusterRouter cluster(std::move(ccfg));

@@ -206,6 +206,11 @@ struct AluCase {
   uint32_t a, b, expect;
 };
 
+// Printed into the test name, so it must not show the address held in `op`.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.op << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
+
 class AluSemantics : public InterpreterTest, public ::testing::WithParamInterface<AluCase> {};
 
 TEST_P(AluSemantics, BinaryOp) {
