@@ -12,12 +12,6 @@
 
 namespace npr {
 
-namespace {
-[[maybe_unused]] uint8_t ObsUnitOf(const HwContext& ctx) {
-  return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
-}
-}  // namespace
-
 InputStage::InputStage(RouterCore& core, Classifier& classifier)
     : core_(core),
       classifier_(classifier),
@@ -149,10 +143,8 @@ bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
       // §3.2.3 alternative: explicit lifetime, allocation can fail.
       auto addr = core_.stack_pool->Allocate(meta);
       if (!addr) {
-        core_.stats->dropped_no_buffer += 1;
-        NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kDropNoBuffer, meta.packet_id,
-                            ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port));
+        Retire(core_, Sink::kNoBuffer, meta.packet_id,
+               ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port);
         as.in_packet = false;
         return false;
       }
@@ -183,17 +175,12 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
                                                     uint8_t arrival_port, VrpCost* vrp_cost,
                                                     uint32_t packet_id, uint8_t obs_unit) {
   const RouterConfig& cfg = *core_.config;
-#if !defined(NPR_OBS_ENABLED)
-  (void)packet_id;
-  (void)obs_unit;
-#endif
   Disposition disp;
   ClassifyOutcome outcome = classifier_.Classify(mp_bytes);
 
   switch (outcome.target) {
     case ClassifyOutcome::Target::kDrop:
-      core_.stats->dropped_invalid += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropInvalid, packet_id, obs_unit, arrival_port));
+      Retire(core_, Sink::kInvalid, packet_id, obs_unit, arrival_port);
       disp.act = Disposition::Act::kDrop;
       return disp;
     case ClassifyOutcome::Target::kStrongArmLocal:
@@ -252,8 +239,7 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
             *run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
       }
       if (run.action == VrpAction::kDrop) {
-        core_.stats->dropped_by_vrp += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropVrp, packet_id, obs_unit, arrival_port));
+        Retire(core_, Sink::kVrp, packet_id, obs_unit, arrival_port);
         disp.act = Disposition::Act::kDrop;
         return disp;
       }
@@ -291,8 +277,7 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
     vrp_cost->sram_writes += run.metered.sram_writes;
     vrp_cost->hashes += run.metered.hashes;
     if (run.action == VrpAction::kDrop) {
-      core_.stats->dropped_by_vrp += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropVrp, packet_id, obs_unit, arrival_port));
+      Retire(core_, Sink::kVrp, packet_id, obs_unit, arrival_port);
       disp.act = Disposition::Act::kDrop;
       return disp;
     }
@@ -576,10 +561,8 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
         }
 #endif
       } else {
-        core_.stats->dropped_queue_full += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropQueueFull, claim.mp.tag.packet_id,
-                                       ObsUnitOf(ctx), claim.disp.out_port));
-        ReleaseBuffer(core_, claim.buffer_addr);
+        RetireBuffer(core_, Sink::kQueueFull, claim.mp.tag.packet_id, claim.buffer_addr,
+                     ObsUnitOf(ctx), claim.disp.out_port);
       }
       if (mutex != nullptr) {
         mutex->Release();

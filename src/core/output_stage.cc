@@ -8,12 +8,6 @@
 
 namespace npr {
 
-namespace {
-[[maybe_unused]] uint8_t ObsUnitOf(const HwContext& ctx) {
-  return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
-}
-}  // namespace
-
 OutputStage::OutputStage(RouterCore& core)
     : core_(core), ring_(*core.engine, core.config->hw.token_pass_cycles) {}
 
@@ -256,13 +250,11 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       // hazard — lifetimes are explicit.)
       if (core_.stack_pool == nullptr &&
           !core_.buffers->StillValid(desc->buffer_addr, desc->generation)) {
-        core_.stats->lost_overwritten += 1;
         core_.stats->output_lost_iters += 1;
         // The span carries the *successor* packet's id: the lapped packet's
         // id went with the overwritten buffer.
-        NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kOutLostLap, BufferMetaFor(core_, desc->buffer_addr).packet_id,
-                            ObsUnitOf(ctx), desc->out_port));
+        Retire(core_, Sink::kLostLap, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+               ObsUnitOf(ctx), desc->out_port);
         continue;
       }
       cur.active = true;

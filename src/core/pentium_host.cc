@@ -168,11 +168,10 @@ Task PentiumHost::PeLoop() {
                                      kUnitPentium, out_port));
 
       if (!forward && !(to_run.empty() && flow == nullptr)) {
-        core_.stats->pe_absorbed += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kPeAbsorbed,
-                                       BufferMetaFor(core_, hp->desc.buffer_addr).packet_id,
-                                       kUnitPentium, out_port));
-        ReleaseBuffer(core_, hp->desc.buffer_addr);  // dropped or consumed
+        // Dropped or consumed.
+        RetireBuffer(core_, Sink::kPeAbsorbed,
+                     BufferMetaFor(core_, hp->desc.buffer_addr).packet_id, hp->desc.buffer_addr,
+                     kUnitPentium, out_port);
       }
       // Return path: DMA the (possibly modified) packet back and publish
       // on the reverse I2O pair. In the Table 4 feed loop the packet is

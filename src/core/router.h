@@ -168,6 +168,9 @@ class Router {
   RouterConfig config_;
   std::unique_ptr<EventQueue> owned_engine_;  // null when the engine is shared
   EventQueue& engine_;
+  // Declared before the chip and the host so it outlives their coroutine
+  // frames: a suspended StrongARM loop still holds a pooled Packet.
+  PacketPool packet_pool_;
   Ixp1200 chip_;
   HostSystem host_;
   RouterStats stats_;
@@ -188,7 +191,6 @@ class Router {
   AdmissionControl admission_;
 
   std::vector<std::unique_ptr<MacPort>> ports_;
-  PacketPool packet_pool_;
   std::unique_ptr<QueuePlan> queues_;
   std::unique_ptr<PacketQueue> sa_local_queue_;
   std::unique_ptr<PacketQueue> sa_pentium_queue_;

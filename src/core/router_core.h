@@ -17,6 +17,7 @@
 #include "src/core/router_stats.h"
 #include "src/ixp/ixp1200.h"
 #include "src/net/mac_port.h"
+#include "src/obs/observer.h"
 #include "src/route/route_cache.h"
 #include "src/route/route_table.h"
 #include "src/vrp/interpreter.h"
@@ -27,15 +28,10 @@ namespace npr {
 class StrongArmBridge;
 class PentiumHost;
 class FaultInjector;
-class Observer;
 class OverloadGovernor;
 class UpgradeOrchestrator;
 
 struct RouterCore {
-  // Returns the packet's sidecar metadata regardless of allocator flavor,
-  // and releases a buffer when the stack pool (§3.2.3 ablation) owns it.
-  // Declared below the struct; see inline definitions at the bottom.
-
   const RouterConfig* config = nullptr;
   EventQueue* engine = nullptr;
   Ixp1200* chip = nullptr;
@@ -110,6 +106,30 @@ inline void ReleaseBuffer(RouterCore& core, uint32_t addr) {
   if (core.stack_pool != nullptr) {
     core.stack_pool->Free(addr);
   }
+}
+
+// Span unit of a MicroEngine context.
+inline uint8_t ObsUnitOf(const HwContext& ctx) {
+  return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
+}
+
+// Retires a packet through `sink` (see kSinks): bumps the sink's RouterStats
+// counter and stamps its span point. `packet_id`, `unit` and `arg` feed only
+// the span.
+inline void Retire(RouterCore& core, Sink sink, [[maybe_unused]] uint32_t packet_id,
+                   [[maybe_unused]] uint8_t unit, [[maybe_unused]] uint16_t arg) {
+  const SinkRow& row = kSinks[static_cast<int>(sink)];
+  core.stats->*row.counter += 1;
+  NPR_OBS_HOOK(core.obs, Record(row.point, packet_id, unit, arg));
+}
+
+// Retires the packet held in `buffer_addr` and releases the buffer: the form
+// for sinks whose every caller frees the packet's buffer (queue full,
+// absorbed, shed).
+inline void RetireBuffer(RouterCore& core, Sink sink, uint32_t packet_id, uint32_t buffer_addr,
+                         uint8_t unit, uint16_t arg) {
+  Retire(core, sink, packet_id, unit, arg);
+  ReleaseBuffer(core, buffer_addr);
 }
 
 }  // namespace npr

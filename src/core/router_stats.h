@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/obs/span.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
@@ -59,8 +60,8 @@ struct RouterStats {
   uint64_t icmp_generated = 0;      // errors originated on the exception path
   uint64_t pentium_processed = 0;
 
-  // Packet-conservation bookkeeping (RouterInvariants): every way a packet
-  // leaves the system other than transmission or the drop counters above.
+  // Packet-conservation bookkeeping (RouterInvariants; kSinks below lists
+  // every way a packet leaves the system).
   uint64_t sa_lapped = 0;        // exception-queue pop hit a lapped buffer
   uint64_t sa_absorbed = 0;      // StrongARM consumed/dropped the packet
   uint64_t pe_absorbed = 0;      // Pentium consumed/dropped the packet
@@ -80,8 +81,7 @@ struct RouterStats {
 
   // Overload governor (src/core/overload.h): every governor-shed packet is
   // attributed to the ladder stage that shed it. The MAC-RX counters mirror
-  // the per-port MacPort counters (RouterInvariants cross-checks the sums);
-  // the bridge-shed counters join the packet-conservation sinks.
+  // the per-port MacPort counters (RouterInvariants cross-checks the sums).
   uint64_t gov_red_dropped = 0;   // stage 1: RED early drop at MAC RX
   uint64_t gov_policed = 0;       // stage 2: heavy-hitter policing at MAC RX
   uint64_t gov_quenched = 0;      // stage 4: hard shed at MAC RX (+ quench log)
@@ -118,6 +118,56 @@ struct RouterStats {
     latency_ns.Reset();
   }
 };
+
+// Every way a packet leaves the router other than `forwarded`, declared
+// once: its counter, its span point, and whether packet conservation counts
+// it. Retire (router_core.h) bumps the counter and stamps the span. A new
+// sink is a counter, a Sink and a row here, and its Retire calls.
+enum class Sink : uint8_t {
+  kInvalid, kVrp, kQueueFull, kLostLap, kSaLapped, kSaAbsorbed, kPeAbsorbed, kShedDegraded,
+  kGovShedPe, kGovShedSa,
+  // Before ingress accounting, outside packet conservation. The MAC-RX
+  // governor drops are counted by the OverloadGovernor and stamped by the
+  // MacPort, not through Retire.
+  kNoBuffer, kGovRed, kGovPolice, kGovQuench,
+  kCount
+};
+
+inline constexpr int kSinkCount = static_cast<int>(Sink::kCount);
+
+struct SinkRow {
+  Sink sink;
+  uint64_t RouterStats::*counter;
+  SpanPoint point;
+  bool conserved;  // counted by RouterInvariants' packet conservation
+};
+
+// One row per Sink, in enum order.
+inline constexpr SinkRow kSinks[kSinkCount] = {
+    {Sink::kInvalid, &RouterStats::dropped_invalid, SpanPoint::kDropInvalid, true},
+    {Sink::kVrp, &RouterStats::dropped_by_vrp, SpanPoint::kDropVrp, true},
+    {Sink::kQueueFull, &RouterStats::dropped_queue_full, SpanPoint::kDropQueueFull, true},
+    {Sink::kLostLap, &RouterStats::lost_overwritten, SpanPoint::kOutLostLap, true},
+    {Sink::kSaLapped, &RouterStats::sa_lapped, SpanPoint::kSaLapped, true},
+    {Sink::kSaAbsorbed, &RouterStats::sa_absorbed, SpanPoint::kSaAbsorbed, true},
+    {Sink::kPeAbsorbed, &RouterStats::pe_absorbed, SpanPoint::kPeAbsorbed, true},
+    {Sink::kShedDegraded, &RouterStats::pkts_shed_degraded, SpanPoint::kSaShedPe, true},
+    {Sink::kGovShedPe, &RouterStats::gov_shed_pe, SpanPoint::kSaShedGov, true},
+    {Sink::kGovShedSa, &RouterStats::gov_shed_sa, SpanPoint::kSaShedGov, true},
+    {Sink::kNoBuffer, &RouterStats::dropped_no_buffer, SpanPoint::kDropNoBuffer, false},
+    {Sink::kGovRed, &RouterStats::gov_red_dropped, SpanPoint::kDropGovRed, false},
+    {Sink::kGovPolice, &RouterStats::gov_policed, SpanPoint::kDropGovPolice, false},
+    {Sink::kGovQuench, &RouterStats::gov_quenched, SpanPoint::kDropGovQuench, false},
+};
+
+static_assert(
+    [] {
+      for (int i = 0; i < kSinkCount; ++i) {
+        if (static_cast<int>(kSinks[i].sink) != i) return false;
+      }
+      return true;
+    }(),
+    "kSinks needs one row per Sink, in enum order");
 
 // One-line summary of the self-healing counters for end-to-end output.
 inline std::string HealthSummary(const RouterStats& s) {

@@ -102,18 +102,9 @@ Task StrongArmBridge::SaLoop() {
       co_await sa.Read(mem.sram(), 4);
       auto desc = core_.sa_pentium_queue->Pop();
       if (desc) {
-        if (health_shed) {
-          core_.stats->pkts_shed_degraded += 1;
-          NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kSaShedPe,
-                                         BufferMetaFor(core_, desc->buffer_addr).packet_id,
-                                         kUnitStrongArm, desc->out_port));
-        } else {
-          core_.stats->gov_shed_pe += 1;
-          NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kSaShedGov,
-                                         BufferMetaFor(core_, desc->buffer_addr).packet_id,
-                                         kUnitStrongArm, desc->out_port));
-        }
-        ReleaseBuffer(core_, desc->buffer_addr);
+        RetireBuffer(core_, health_shed ? Sink::kShedDegraded : Sink::kGovShedPe,
+                     BufferMetaFor(core_, desc->buffer_addr).packet_id, desc->buffer_addr,
+                     kUnitStrongArm, desc->out_port);
       }
       did_work = true;
     } else if (core_.governor != nullptr && core_.governor->ShedSaLocal() &&
@@ -123,11 +114,8 @@ Task StrongArmBridge::SaLoop() {
       co_await sa.Read(mem.sram(), 4);
       auto desc = core_.sa_local_queue->Pop();
       if (desc) {
-        core_.stats->gov_shed_sa += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kSaShedGov,
-                                       BufferMetaFor(core_, desc->buffer_addr).packet_id,
-                                       kUnitStrongArm, desc->out_port));
-        ReleaseBuffer(core_, desc->buffer_addr);
+        RetireBuffer(core_, Sink::kGovShedSa, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+                     desc->buffer_addr, kUnitStrongArm, desc->out_port);
       }
       did_work = true;
     }
@@ -205,11 +193,9 @@ Task StrongArmBridge::SaLoop() {
                                            BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
                                            kUnitStrongArm, hp.desc.out_port));
           } else {
-            core_.stats->dropped_queue_full += 1;
-            NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropQueueFull,
-                                           BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
-                                           kUnitStrongArm, hp.desc.out_port));
-            ReleaseBuffer(core_, hp.desc.buffer_addr);
+            RetireBuffer(core_, Sink::kQueueFull,
+                         BufferMetaFor(core_, hp.desc.buffer_addr).packet_id, hp.desc.buffer_addr,
+                         kUnitStrongArm, hp.desc.out_port);
           }
         }
         ++returned_;
@@ -417,12 +403,8 @@ Task StrongArmBridge::SaLoop() {
                                 BufferMetaFor(core_, out.buffer_addr).packet_id, kUnitStrongArm,
                                 out_port));
           } else {
-            core_.stats->dropped_queue_full += 1;
-            NPR_OBS_HOOK(core_.obs,
-                         Record(SpanPoint::kDropQueueFull,
-                                BufferMetaFor(core_, out.buffer_addr).packet_id, kUnitStrongArm,
-                                out_port));
-            ReleaseBuffer(core_, out.buffer_addr);
+            RetireBuffer(core_, Sink::kQueueFull, BufferMetaFor(core_, out.buffer_addr).packet_id,
+                         out.buffer_addr, kUnitStrongArm, out_port);
           }
         }
         // Originate the ICMP error for failed packets (RFC 792), routed
@@ -482,12 +464,9 @@ Task StrongArmBridge::SaLoop() {
           }
         }
         if (!forward) {
-          core_.stats->sa_absorbed += 1;
-          NPR_OBS_HOOK(core_.obs,
-                       Record(SpanPoint::kSaAbsorbed,
-                              BufferMetaFor(core_, desc->buffer_addr).packet_id, kUnitStrongArm,
-                              desc->out_port));
-          ReleaseBuffer(core_, desc->buffer_addr);
+          RetireBuffer(core_, Sink::kSaAbsorbed,
+                       BufferMetaFor(core_, desc->buffer_addr).packet_id, desc->buffer_addr,
+                       kUnitStrongArm, desc->out_port);
         }
         ++local_processed_;
         core_.stats->sa_local_processed += 1;
@@ -502,11 +481,8 @@ Task StrongArmBridge::SaLoop() {
         // exception queue; the packet content is gone. The span carries the
         // *successor* packet's id (the buffer was reused), so kSaLapped is a
         // non-erasing terminal; reconciliation accounts for it separately.
-        core_.stats->sa_lapped += 1;
-        NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kSaLapped,
-                            BufferMetaFor(core_, desc->buffer_addr).packet_id, kUnitStrongArm,
-                            desc->out_port));
+        Retire(core_, Sink::kSaLapped, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+               kUnitStrongArm, desc->out_port);
       }
       did_work = true;
     }

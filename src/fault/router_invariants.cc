@@ -41,9 +41,10 @@ void CheckQueue(const PacketQueue& q, const char* label, InvariantReport* report
 }
 
 // Every packet admitted to the pipeline (plus every ICMP error originated in
-// a fresh buffer) must be transmitted, counted as a drop, or still visibly
-// in flight somewhere. dropped_no_buffer and the MAC-level CRC drops happen
-// before ingress accounting and are deliberately outside the balance.
+// a fresh buffer) must be transmitted, retired through a conserved sink
+// (kSinks), lost to a corrupted descriptor, or still visibly in flight
+// somewhere. The pre-ingress sinks and the MAC-level CRC drops happen before
+// ingress accounting and are deliberately outside the balance.
 void CheckConservation(Router& router, InvariantReport* report) {
   const RouterConfig& cfg = router.config();
   const RouterStats& stats = router.stats();
@@ -67,10 +68,10 @@ void CheckConservation(Router& router, InvariantReport* report) {
   queued += router.sa_pentium_queue().size();
 
   report->sources = stats.input.packets + stats.icmp_originated;
-  report->sinks = stats.forwarded + stats.dropped_invalid + stats.dropped_by_vrp +
-                  stats.dropped_queue_full + stats.lost_overwritten + stats.sa_lapped +
-                  stats.sa_absorbed + stats.pe_absorbed + stats.pkts_shed_degraded +
-                  stats.gov_shed_pe + stats.gov_shed_sa + corrupt_drops;
+  report->sinks = stats.forwarded + corrupt_drops;
+  for (const SinkRow& row : kSinks) {
+    report->sinks += row.conserved ? stats.*row.counter : 0;
+  }
   report->in_flight = queued + router.bridge().staging().size() +
                       router.pentium_host().scheduler().backlog() +
                       static_cast<uint64_t>(router.output_stage().active_streams()) +

@@ -1,5 +1,6 @@
 #include "src/obs/observer.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace npr {
@@ -118,40 +119,21 @@ void Observer::Erase(Track* t) {
 }
 
 void Observer::UpdateTrack(SpanPoint point, uint32_t packet_id, uint64_t now) {
-  switch (point) {
-    // Chain accounting starts at kPktIngress (matching RouterInvariants'
-    // ingress accounting point); MAC/queue/fault/recovery records and the
-    // pre-ingress no-buffer drop never touch the tracker.
-    case SpanPoint::kMacRxFrame:
-    case SpanPoint::kMacTxFrame:
-    case SpanPoint::kQueuePush:
-    case SpanPoint::kQueuePop:
-    case SpanPoint::kQueueCorrupt:
-    case SpanPoint::kFault:
-    case SpanPoint::kRecovery:
-    case SpanPoint::kDropNoBuffer:
-    case SpanPoint::kInClassified:
-    // Governor MAC-RX drops happen before ingress accounting (the chain was
-    // never opened); ladder transitions carry no packet at all.
-    case SpanPoint::kDropGovRed:
-    case SpanPoint::kDropGovPolice:
-    case SpanPoint::kDropGovQuench:
-    case SpanPoint::kGovStage:
-    // Lap records carry the successor's id (the lapped packet's id is gone
-    // with the overwritten buffer); erasing here would break a live chain.
-    case SpanPoint::kOutLostLap:
-    case SpanPoint::kSaLapped:
-      return;
-    default:
-      break;
+  // Chains open at a source (kPktIngress is RouterInvariants' ingress
+  // accounting point). Lap records carry the successor's id, so erasing on
+  // them would break a live chain; they skip the tracker like pre-ingress
+  // drops (no chain) and untracked records.
+  const SpanPointInfo& info = kSpanPoints[static_cast<int>(point)];
+  if (info.role == SpanRole::kUntracked || info.role == SpanRole::kPreIngressTerminal ||
+      info.role == SpanRole::kLapTerminal) {
+    return;
   }
   if (packet_id == 0) return;
 
-  if (point == SpanPoint::kPktIngress || point == SpanPoint::kIcmpOriginated) {
+  if (info.role == SpanRole::kSource) {
     Track* t = FindOrCreate(packet_id);
     if (t == nullptr) return;
-    t->path = static_cast<uint8_t>(point == SpanPoint::kIcmpOriginated ? PathKind::kPathB
-                                                                       : PathKind::kPathA);
+    t->path = static_cast<uint8_t>(info.path);
     t->ingress_ps = now;
     t->mark_ps = now;
     return;
@@ -160,52 +142,11 @@ void Observer::UpdateTrack(SpanPoint point, uint32_t packet_id, uint64_t now) {
   Track* t = Find(packet_id);
   if (t == nullptr) return;  // chain started before attach, or already closed
 
-  switch (point) {
-    case SpanPoint::kInToSa:
-    case SpanPoint::kSaDequeued:
-      if (t->path == static_cast<uint8_t>(PathKind::kPathA)) {
-        t->path = static_cast<uint8_t>(PathKind::kPathB);
-      }
-      break;
-    case SpanPoint::kInToPe:
-    case SpanPoint::kBridgeToPe:
-    case SpanPoint::kPeIntake:
-      t->path = static_cast<uint8_t>(PathKind::kPathC);
-      break;
-    default:
-      break;
+  if (info.path != PathKind::kCount) {
+    t->path = std::max(t->path, static_cast<uint8_t>(info.path));
   }
-
-  HopKind hop = HopKind::kCount;
-  switch (point) {
-    case SpanPoint::kInEnqueued:
-    case SpanPoint::kInToSa:
-    case SpanPoint::kInToPe:
-      hop = HopKind::kInput;
-      break;
-    case SpanPoint::kOutDequeued:
-    case SpanPoint::kSaDequeued:
-    case SpanPoint::kBridgeToPe:
-      hop = HopKind::kQueueWait;
-      break;
-    case SpanPoint::kPktTxComplete:
-      hop = HopKind::kOutput;
-      break;
-    case SpanPoint::kSaForwarded:
-    case SpanPoint::kSaReturnEnqueued:
-    case SpanPoint::kSaAbsorbed:
-    case SpanPoint::kSaShedPe:
-      hop = HopKind::kSaService;
-      break;
-    case SpanPoint::kPeReturned:
-    case SpanPoint::kPeAbsorbed:
-      hop = HopKind::kPeService;
-      break;
-    default:
-      break;
-  }
-  if (hop != HopKind::kCount && now >= t->mark_ps) {
-    hop_latency_[static_cast<int>(hop)].Add((now - t->mark_ps) / kPsPerNsLocal);
+  if (info.hop != kNoHop && now >= t->mark_ps) {
+    hop_latency_[static_cast<int>(info.hop)].Add((now - t->mark_ps) / kPsPerNsLocal);
     t->mark_ps = now;
   }
 
@@ -213,7 +154,7 @@ void Observer::UpdateTrack(SpanPoint point, uint32_t packet_id, uint64_t now) {
     path_latency_[t->path].Add((now - t->ingress_ps) / kPsPerNsLocal);
   }
 
-  if (IsErasingTerminal(point)) Erase(t);
+  if (info.role == SpanRole::kErasingTerminal) Erase(t);
 }
 
 }  // namespace npr

@@ -39,22 +39,7 @@
 
 namespace npr {
 
-// Which forwarding path a packet took (§3 of the paper): A = pure
-// MicroEngine, B = StrongARM exception path, C = Pentium via PCI/I2O.
-enum class PathKind : uint8_t { kPathA = 0, kPathB, kPathC, kCount };
-inline constexpr int kPathKindCount = static_cast<int>(PathKind::kCount);
 const char* PathKindName(PathKind p);
-
-// Pipeline stage boundaries for the per-stage latency histograms.
-enum class HopKind : uint8_t {
-  kInput = 0,   // ingress -> enqueue (input context residency)
-  kQueueWait,   // enqueue -> dequeue (descriptor queue wait)
-  kOutput,      // dequeue -> tx complete (output context residency)
-  kSaService,   // StrongARM pickup -> verdict (path B service)
-  kPeService,   // bridge DMA -> return DMA landed (path C round trip)
-  kCount
-};
-inline constexpr int kHopKindCount = static_cast<int>(HopKind::kCount);
 const char* HopKindName(HopKind h);
 
 struct ObserverConfig {

@@ -14,8 +14,9 @@
 
 namespace npr {
 
-// Where in the pipeline a span was stamped. Names are stable: the golden
-// trace file and docs/observability.md depend on them.
+// Where in the pipeline a span was stamped. Numbering and names (in
+// kSpanPoints below) are stable: the golden trace file and
+// docs/observability.md depend on them.
 enum class SpanPoint : uint8_t {
   // --- wire / MAC ---
   kMacRxFrame = 0,   // frame fully received into port memory
@@ -28,7 +29,7 @@ enum class SpanPoint : uint8_t {
   kInToSa,           // EOP handed to the StrongARM local queue (path B)
   kInToPe,           // EOP handed to the Pentium-bound queue (path C)
 
-  // --- terminal drops (each adjacent to its RouterStats counter) ---
+  // --- terminal drops (sinks: see kSinks in src/core/router_stats.h) ---
   kDropInvalid,      // failed header validation
   kDropVrp,          // VRP policy drop
   kDropQueueFull,    // bounded queue rejected the descriptor
@@ -76,37 +77,113 @@ enum class SpanPoint : uint8_t {
 
 inline constexpr int kSpanPointCount = static_cast<int>(SpanPoint::kCount);
 
-// Short stable name for traces and dumps (e.g. "in.enqueued").
-const char* SpanPointName(SpanPoint p);
+// What a point does to a packet's chain (the observer's in-flight tracker
+// and the reconciliation against RouterStats both key off it).
+enum class SpanRole : uint8_t {
+  kSource,             // opens a chain (ingress accounting, ICMP origination)
+  kStep,               // moves an open chain along
+  kErasingTerminal,    // the packet left the router; its chain closes
+  kLapTerminal,        // the packet left, but the record names its successor's still-open chain
+  kPreIngressTerminal, // dropped before ingress accounting; no chain was opened
+  kUntracked,          // MAC, queue, fault, recovery and other non-chain records
+};
 
-// Terminal points end a packet's chain. Lap points (kOutLostLap, kSaLapped)
-// are terminal for accounting but carry the *successor* packet's id (the
-// original id is unrecoverable once the buffer is overwritten), so the
-// tracker must not erase on them; IsErasingTerminal distinguishes the two.
-inline constexpr bool IsTerminal(SpanPoint p) {
-  switch (p) {
-    case SpanPoint::kDropInvalid:
-    case SpanPoint::kDropVrp:
-    case SpanPoint::kDropQueueFull:
-    case SpanPoint::kDropNoBuffer:
-    case SpanPoint::kOutLostLap:
-    case SpanPoint::kPktTxComplete:
-    case SpanPoint::kSaAbsorbed:
-    case SpanPoint::kSaLapped:
-    case SpanPoint::kSaShedPe:
-    case SpanPoint::kPeAbsorbed:
-    case SpanPoint::kDropGovRed:
-    case SpanPoint::kDropGovPolice:
-    case SpanPoint::kDropGovQuench:
-    case SpanPoint::kSaShedGov:
+// Which forwarding path a packet took (§3 of the paper): A = pure
+// MicroEngine, B = StrongARM exception path, C = Pentium via PCI/I2O.
+enum class PathKind : uint8_t { kPathA = 0, kPathB, kPathC, kCount };
+inline constexpr int kPathKindCount = static_cast<int>(PathKind::kCount);
+
+// Pipeline stage boundaries for the per-stage latency histograms.
+enum class HopKind : uint8_t {
+  kInput = 0,   // ingress -> enqueue (input context residency)
+  kQueueWait,   // enqueue -> dequeue (descriptor queue wait)
+  kOutput,      // dequeue -> tx complete (output context residency)
+  kSaService,   // StrongARM pickup -> verdict (path B service)
+  kPeService,   // bridge DMA -> return DMA landed (path C round trip)
+  kCount
+};
+inline constexpr int kHopKindCount = static_cast<int>(HopKind::kCount);
+inline constexpr HopKind kNoHop = HopKind::kCount;
+
+struct SpanPointInfo {
+  SpanPoint point;
+  const char* name;  // short stable name for traces and dumps
+  SpanRole role;
+  HopKind hop = kNoHop;  // the stage this point ends, timed from the previous one
+  // A source's starting path; for a step, the path the chain moves up to
+  // (paths only move A -> B -> C).
+  PathKind path = PathKind::kCount;
+};
+
+// One row per SpanPoint, in enum order.
+inline constexpr SpanPointInfo kSpanPoints[kSpanPointCount] = {
+    {SpanPoint::kMacRxFrame, "mac.rx_frame", SpanRole::kUntracked},
+    {SpanPoint::kMacTxFrame, "mac.tx_frame", SpanRole::kUntracked},
+    {SpanPoint::kPktIngress, "in.ingress", SpanRole::kSource, kNoHop, PathKind::kPathA},
+    {SpanPoint::kInClassified, "in.classified", SpanRole::kUntracked},
+    {SpanPoint::kInEnqueued, "in.enqueued", SpanRole::kStep, HopKind::kInput},
+    {SpanPoint::kInToSa, "in.to_sa", SpanRole::kStep, HopKind::kInput, PathKind::kPathB},
+    {SpanPoint::kInToPe, "in.to_pe", SpanRole::kStep, HopKind::kInput, PathKind::kPathC},
+    {SpanPoint::kDropInvalid, "drop.invalid", SpanRole::kErasingTerminal},
+    {SpanPoint::kDropVrp, "drop.vrp", SpanRole::kErasingTerminal},
+    {SpanPoint::kDropQueueFull, "drop.queue_full", SpanRole::kErasingTerminal},
+    {SpanPoint::kDropNoBuffer, "drop.no_buffer", SpanRole::kPreIngressTerminal},
+    {SpanPoint::kQueuePush, "queue.push", SpanRole::kUntracked},
+    {SpanPoint::kQueuePop, "queue.pop", SpanRole::kUntracked},
+    {SpanPoint::kQueueCorrupt, "queue.corrupt", SpanRole::kUntracked},
+    {SpanPoint::kOutDequeued, "out.dequeued", SpanRole::kStep, HopKind::kQueueWait},
+    {SpanPoint::kOutLostLap, "out.lost_lap", SpanRole::kLapTerminal},
+    {SpanPoint::kPktTxComplete, "out.tx_complete", SpanRole::kErasingTerminal, HopKind::kOutput},
+    {SpanPoint::kSaDequeued, "sa.dequeued", SpanRole::kStep, HopKind::kQueueWait, PathKind::kPathB},
+    {SpanPoint::kSaForwarded, "sa.forwarded", SpanRole::kStep, HopKind::kSaService},
+    {SpanPoint::kSaReturnEnqueued, "sa.return_enqueued", SpanRole::kStep, HopKind::kSaService},
+    {SpanPoint::kSaAbsorbed, "sa.absorbed", SpanRole::kErasingTerminal, HopKind::kSaService},
+    {SpanPoint::kSaLapped, "sa.lapped", SpanRole::kLapTerminal},
+    {SpanPoint::kSaShedPe, "sa.shed_pe", SpanRole::kErasingTerminal, HopKind::kSaService},
+    {SpanPoint::kIcmpOriginated, "sa.icmp_originated", SpanRole::kSource, kNoHop, PathKind::kPathB},
+    {SpanPoint::kBridgeToPe, "pe.bridge_to_pe", SpanRole::kStep, HopKind::kQueueWait,
+     PathKind::kPathC},
+    {SpanPoint::kPeIntake, "pe.intake", SpanRole::kStep, kNoHop, PathKind::kPathC},
+    {SpanPoint::kPeServiced, "pe.serviced", SpanRole::kStep},
+    {SpanPoint::kPeAbsorbed, "pe.absorbed", SpanRole::kErasingTerminal, HopKind::kPeService},
+    {SpanPoint::kPeReturned, "pe.returned", SpanRole::kStep, HopKind::kPeService},
+    {SpanPoint::kFault, "fault", SpanRole::kUntracked},
+    {SpanPoint::kRecovery, "recovery", SpanRole::kUntracked},
+    {SpanPoint::kDropGovRed, "drop.gov_red", SpanRole::kPreIngressTerminal},
+    {SpanPoint::kDropGovPolice, "drop.gov_police", SpanRole::kPreIngressTerminal},
+    {SpanPoint::kDropGovQuench, "drop.gov_quench", SpanRole::kPreIngressTerminal},
+    {SpanPoint::kSaShedGov, "sa.shed_gov", SpanRole::kErasingTerminal},
+    {SpanPoint::kGovStage, "gov.stage", SpanRole::kUntracked},
+};
+
+static_assert(
+    [] {
+      for (int i = 0; i < kSpanPointCount; ++i) {
+        if (static_cast<int>(kSpanPoints[i].point) != i) return false;
+      }
       return true;
-    default:
-      return false;
-  }
+    }(),
+    "kSpanPoints needs one row per SpanPoint, in enum order");
+
+inline constexpr SpanRole SpanRoleOf(SpanPoint p) {
+  return kSpanPoints[static_cast<int>(p)].role;
+}
+
+// Short stable name for traces and dumps (e.g. "in.enqueued").
+inline constexpr const char* SpanPointName(SpanPoint p) {
+  return static_cast<int>(p) < kSpanPointCount ? kSpanPoints[static_cast<int>(p)].name : "?";
+}
+
+// Terminal points end a packet's stay in the router; lap terminals do so
+// without closing the chain of the id they carry.
+inline constexpr bool IsTerminal(SpanPoint p) {
+  const SpanRole r = SpanRoleOf(p);
+  return r == SpanRole::kErasingTerminal || r == SpanRole::kLapTerminal ||
+         r == SpanRole::kPreIngressTerminal;
 }
 
 inline constexpr bool IsErasingTerminal(SpanPoint p) {
-  return IsTerminal(p) && p != SpanPoint::kOutLostLap && p != SpanPoint::kSaLapped;
+  return SpanRoleOf(p) == SpanRole::kErasingTerminal;
 }
 
 // Executing unit encoding for SpanRecord::unit. MicroEngine contexts map to

@@ -25,6 +25,10 @@ struct LatencyCase {
   int64_t expect_cycles;
 };
 
+// Printed into the test name, so it must not show the address held in `memory`.
+// The name suffix already spells out memory, direction and size.
+void PrintTo(const LatencyCase& c, std::ostream* os) { *os << c.expect_cycles << " cycles"; }
+
 class Table3Latency : public MemorySystemTest,
                       public ::testing::WithParamInterface<LatencyCase> {};
 

@@ -220,8 +220,12 @@ TEST_P(MpRoundTrip, SegmentThenReassembleIsIdentity) {
   Packet original = BuildPacket(spec);
   original.set_id(777);
 
-  auto mps = SegmentIntoMps(original, 3);
-  ASSERT_EQ(mps.size(), original.mp_count());
+  std::vector<Mp> mps(original.mp_count());
+  MpCursor cursor(original, 3);
+  for (Mp& mp : mps) {
+    ASSERT_TRUE(cursor.CopyNext(mp));
+  }
+  EXPECT_TRUE(cursor.done());
   EXPECT_TRUE(mps.front().tag.sop);
   EXPECT_TRUE(mps.back().tag.eop);
   for (size_t i = 0; i + 1 < mps.size(); ++i) {
@@ -312,7 +316,8 @@ TEST(MacPort, TxReassemblesAndDeliversToSink) {
   spec.frame_bytes = 200;
   Packet original = BuildPacket(spec);
   original.set_id(42);
-  for (const auto& mp : SegmentIntoMps(original, 1)) {
+  MpCursor cursor(original, 1);
+  for (Mp mp; cursor.CopyNext(mp);) {
     port.TxAccept(mp);
   }
   engine.RunAll();
@@ -556,7 +561,8 @@ TEST(MacPort, SinkFramesOutliveThePool) {
     spec.frame_bytes = 200;
     Packet frame = BuildPacket(spec);
     frame.set_id(42);
-    for (const Mp& mp : SegmentIntoMps(frame, 1)) {
+    MpCursor cursor(frame, 1);
+    for (Mp mp; cursor.CopyNext(mp);) {
       port.TxAccept(mp);
     }
     engine.RunAll();

@@ -7,7 +7,8 @@
 //      at a fixed seed is bit-identical across runs and matches the golden
 //      committed under tests/data/ (regenerate with NPR_REGEN_GOLDEN=1);
 //   2. reconciliation — for randomized traffic/fault seeds, folding the
-//      span stream reproduces RouterStats exactly, the in-flight tracker
+//      span stream reproduces RouterStats exactly (every sink-table row,
+//      the governor's under OverloadChaos included), the in-flight tracker
 //      balances against the conservation invariant, and the profiler's
 //      cycle totals equal the MicroEngines' own accounting;
 //   3. flight recorder — an injected vrp_trap dumps the faulted packet's
@@ -23,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core/overload.h"
 #include "src/core/router.h"
+#include "src/core/router_core.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/router_invariants.h"
 #include "src/forwarders/vrp_programs.h"
@@ -74,6 +77,22 @@ uint64_t Fnv1a(const std::vector<SpanRecord>& records) {
     }
   }
   return h;
+}
+
+// Every span point of the sink table counts exactly the sum of the
+// RouterStats counters mapped to it (sa.shed_gov is gov_shed_pe +
+// gov_shed_sa). Retire keeps the two in step by construction; this catches
+// a counter bumped, or a span stamped, outside it (the MacPort governor
+// drops are).
+void ExpectSinkSpansMatchCounters(const Observer& obs, const RouterStats& stats) {
+  uint64_t expected[kSpanPointCount] = {};
+  for (const SinkRow& row : kSinks) {
+    expected[static_cast<int>(row.point)] += stats.*row.counter;
+  }
+  for (const SinkRow& row : kSinks) {
+    EXPECT_EQ(obs.point_count(row.point), expected[static_cast<int>(row.point)])
+        << SpanPointName(row.point);
+  }
 }
 
 // --- golden per-packet trace (Table 1 line-rate config, fixed seed) ------
@@ -210,6 +229,7 @@ TEST(ReconciliationTest, SpanFoldMatchesRouterStatsAcrossSeedsAndFaults) {
     EXPECT_EQ(obs.point_count(SpanPoint::kSaDequeued), stats.sa_local_processed)
         << "every valid StrongARM dequeue is one locally processed packet";
     EXPECT_EQ(obs.point_count(SpanPoint::kPeServiced), stats.pentium_processed);
+    ExpectSinkSpansMatchCounters(obs, stats);
 
     uint64_t corrupt_drops = 0;
     for (const auto& q : router->queues().all_queues()) {
@@ -257,6 +277,66 @@ TEST(ReconciliationTest, SpanFoldMatchesRouterStatsAcrossSeedsAndFaults) {
       }
     }
   }
+#endif
+}
+
+// The governor's sinks: a gigabit min-size flood under OverloadChaos walks
+// the ladder into MAC-RX drops and bridge shedding of host-bound work, and
+// every one of them is stamped once beside its counter.
+TEST(ReconciliationTest, SinkSpansMatchCountersUnderOverloadChaos) {
+#if !defined(NPR_OBS_ENABLED)
+  GTEST_SKIP() << "built with NPR_OBS=OFF";
+#else
+  RouterConfig cfg;
+  cfg.port_rates_bps = std::vector<double>(8, 1e9);
+  cfg.fault_plan = FaultPlan::OverloadChaos(0x0c0deULL);
+  auto router = MakeRouter(std::move(cfg));
+  ObserverConfig ocfg;
+  ocfg.tracker_slots = 1u << 16;
+  Observer obs(router->engine(), ocfg);
+  router->SetObserver(&obs);
+  router->Start();
+  OverloadGovernor gov(*router);
+
+  std::vector<std::unique_ptr<TrafficGen>> gens;
+  // Host-bound work for the bridge to shed: IP-option packets on port 0.
+  TrafficSpec options;
+  options.rate_pps = 400'000;
+  options.exceptional_fraction = 1.0;
+  options.single_dst_port = 7;
+  options.pattern = TrafficSpec::DstPattern::kSinglePort;
+  gens.push_back(std::make_unique<TrafficGen>(router->engine(), router->port(0), options, 11));
+  gens.back()->Start(4 * kPsPerMs);
+  // Elephants on port 1 for the policer; a many-source flood on 2-6.
+  for (int p = 1; p <= 6; ++p) {
+    TrafficSpec spec;
+    spec.rate_pps = 1.6e6;
+    spec.adversarial = p == 1 ? TrafficSpec::Adversarial::kElephantFlows
+                              : TrafficSpec::Adversarial::kMinSizeFlood;
+    spec.flood_factor = 1.0;
+    spec.single_dst_port = 7;
+    spec.flood_sources = 64;
+    gens.push_back(std::make_unique<TrafficGen>(router->engine(), router->port(p), spec,
+                                                42 + static_cast<uint64_t>(p)));
+    gens.back()->Start(4 * kPsPerMs);
+  }
+  router->RunForMs(6.0);
+
+  // Spelled out, not read from the table, so a row mapped to the wrong
+  // point fails here.
+  const RouterStats& stats = router->stats();
+  EXPECT_GT(obs.point_count(SpanPoint::kDropGovRed), 0u);
+  EXPECT_GT(obs.point_count(SpanPoint::kDropGovPolice), 0u);
+  EXPECT_GT(obs.point_count(SpanPoint::kDropGovQuench), 0u);
+  EXPECT_GT(obs.point_count(SpanPoint::kSaShedGov), 0u);
+  EXPECT_EQ(obs.point_count(SpanPoint::kDropGovRed), stats.gov_red_dropped);
+  EXPECT_EQ(obs.point_count(SpanPoint::kDropGovPolice), stats.gov_policed);
+  EXPECT_EQ(obs.point_count(SpanPoint::kDropGovQuench), stats.gov_quenched);
+  EXPECT_EQ(obs.point_count(SpanPoint::kSaShedGov), stats.gov_shed_pe + stats.gov_shed_sa);
+  EXPECT_EQ(obs.point_count(SpanPoint::kSaShedPe), stats.pkts_shed_degraded);
+  ExpectSinkSpansMatchCounters(obs, stats);
+  const InvariantReport report = RouterInvariants::CheckAll(*router);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 #endif
 }
 
@@ -389,6 +469,44 @@ TEST(SpanTest, NamesAreStableAndTerminalsClassified) {
   EXPECT_FALSE(IsErasingTerminal(SpanPoint::kSaLapped));
   EXPECT_FALSE(IsTerminal(SpanPoint::kQueuePush));
   EXPECT_EQ(ContextUnit(3, 2), 14);
+
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kPktIngress), SpanRole::kSource);
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kIcmpOriginated), SpanRole::kSource);
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kInEnqueued), SpanRole::kStep);
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kOutLostLap), SpanRole::kLapTerminal);
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kDropGovQuench), SpanRole::kPreIngressTerminal);
+  EXPECT_EQ(SpanRoleOf(SpanPoint::kGovStage), SpanRole::kUntracked);
+  EXPECT_TRUE(IsTerminal(SpanPoint::kDropNoBuffer));
+  EXPECT_FALSE(IsErasingTerminal(SpanPoint::kDropNoBuffer));
+  EXPECT_TRUE(IsErasingTerminal(SpanPoint::kSaShedGov));
+  for (int a = 0; a < kSpanPointCount; ++a) {
+    for (int b = a + 1; b < kSpanPointCount; ++b) {
+      EXPECT_STRNE(kSpanPoints[a].name, kSpanPoints[b].name);
+    }
+  }
+}
+
+TEST(SinkTableTest, EveryRowHasADistinctCounterAndATerminalSpan) {
+  for (int a = 0; a < kSinkCount; ++a) {
+    const SinkRow& row = kSinks[a];
+    SCOPED_TRACE(SpanPointName(row.point));
+    EXPECT_TRUE(IsTerminal(row.point));
+    // Conservation counts exactly the sinks that happen after ingress.
+    EXPECT_EQ(row.conserved, SpanRoleOf(row.point) != SpanRole::kPreIngressTerminal);
+    for (int b = a + 1; b < kSinkCount; ++b) {
+      EXPECT_NE(row.counter, kSinks[b].counter) << "rows " << a << " and " << b;
+    }
+  }
+  // Retire bumps the row's counter.
+  RouterStats stats;
+  RouterCore core;
+  core.stats = &stats;
+  Retire(core, Sink::kGovShedSa, 1, kUnitStrongArm, 0);
+  Retire(core, Sink::kGovShedSa, 2, kUnitStrongArm, 0);
+  Retire(core, Sink::kVrp, 3, 0, 0);
+  EXPECT_EQ(stats.gov_shed_sa, 2u);
+  EXPECT_EQ(stats.dropped_by_vrp, 1u);
+  EXPECT_EQ(stats.gov_shed_pe, 0u);
 }
 
 TEST(FlightRecorderUnitTest, RingWrapsAndFirstDumpWins) {
