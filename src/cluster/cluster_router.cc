@@ -328,29 +328,10 @@ void ClusterRouter::StartMeasurement() {
   }
 }
 
-uint64_t ClusterRouter::TotalForwarded() const {
-  // Note: a cross-node packet is forwarded once at each hop, so this counts
-  // it twice — it measures pipeline work, not external goodput (benches
-  // measure goodput at their sinks).
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().forwarded;
-  }
-  return total;
-}
-
 uint64_t ClusterRouter::TotalDrops() const {
   uint64_t total = 0;
   for (const auto& n : nodes_) {
     total += n->stats().dropped_queue_full + n->stats().lost_overwritten;
-  }
-  return total;
-}
-
-double ClusterRouter::AggregateRateMpps() const {
-  double total = 0;
-  for (const auto& n : nodes_) {
-    total += n->ForwardingRateMpps();
   }
   return total;
 }

@@ -206,9 +206,7 @@ class ClusterRouter {
   int num_external_ports() const { return num_nodes() * external_ports_per_node(); }
 
   // Aggregate statistics across the cluster.
-  uint64_t TotalForwarded() const;
   uint64_t TotalDrops() const;
-  double AggregateRateMpps() const;
 
   ~ClusterRouter();
 

@@ -15,7 +15,7 @@ namespace npr {
 InputStage::InputStage(RouterCore& core, Classifier& classifier)
     : core_(core),
       classifier_(classifier),
-      ring_(*core.engine, core.config->hw.token_pass_cycles),
+      contexts_(core),
       rng_(0x1a2b3c4d5e6f7788ULL) {
   const RouterConfig& cfg = *core_.config;
   assembly_.resize(static_cast<size_t>(std::max(cfg.num_ports(), 16)));
@@ -45,47 +45,12 @@ void InputStage::Start() {
   // contexts serving the same port sit half a rotation apart (§3.2.2).
   // The non-interleaved order (all four contexts of ME0, then ME1, ...)
   // exists for the ablation bench.
-  members_.clear();
   for (int r = 0; r < n_ctx; ++r) {
     const int me = cfg.token_ring_interleaved ? r % n_me : r / cfg.hw.contexts_per_me;
     const int slot = cfg.token_ring_interleaved ? r / n_me : r % cfg.hw.contexts_per_me;
-    members_.push_back(&core_.chip->me(me).context(slot));
+    contexts_.Add(core_.chip->me(me).context(slot));
   }
-  member_index_.clear();
-  port_of_.clear();
-  for (int r = 0; r < n_ctx; ++r) {
-    member_index_.push_back(ring_.AddMember(*members_[static_cast<size_t>(r)]));
-    port_of_.push_back(static_cast<uint8_t>(r % cfg.num_ports()));
-  }
-  for (int r = 0; r < n_ctx; ++r) {
-    HwContext* ctx = members_[static_cast<size_t>(r)];
-    ctx->Install(ContextLoop(*ctx, member_index_[static_cast<size_t>(r)], r,
-                             port_of_[static_cast<size_t>(r)]));
-  }
-}
-
-void InputStage::RestartContext(int ctx_index) {
-  const int member = member_index_[static_cast<size_t>(ctx_index)];
-  HwContext* ctx = members_[static_cast<size_t>(ctx_index)];
-  // Idempotent: the health monitor and the scheduled restart can race; only
-  // the first one reinstalls the loop (a crash marks the member down before
-  // its loop co_returns, so member-up means the context is live).
-  if (!ring_.member_down(member)) {
-    return;
-  }
-  core_.stats->context_restarts += 1;
-  ring_.SetMemberDown(member, false);
-  ctx->Install(ContextLoop(*ctx, member, ctx_index, port_of_[static_cast<size_t>(ctx_index)]));
-}
-
-void InputStage::RecoverContext(int ctx_index) { RestartContext(ctx_index); }
-
-bool InputStage::ContextDown(int ctx_index) const {
-  return ring_.member_down(member_index_[static_cast<size_t>(ctx_index)]);
-}
-
-SimTime InputStage::ContextDownSincePs(int ctx_index) const {
-  return ring_.member_down_since_ps(member_index_[static_cast<size_t>(ctx_index)]);
+  contexts_.Start([this](int r) { return ContextLoop(r); });
 }
 
 int InputStage::partial_assemblies() const {
@@ -96,10 +61,9 @@ int InputStage::partial_assemblies() const {
   return n;
 }
 
-Mp InputStage::SynthesizeMp(int ctx_index) {
+Mp InputStage::SynthesizeMp() {
   const RouterConfig& cfg = *core_.config;
   uint8_t dst_port;
-  (void)ctx_index;
   if (cfg.synthetic_single_dst) {
     dst_port = cfg.synthetic_dst_port;
   } else {
@@ -121,7 +85,7 @@ Mp InputStage::SynthesizeMp(int ctx_index) {
 bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
   const RouterConfig& cfg = *core_.config;
   if (cfg.port_mode == PortMode::kInfiniteFifo) {
-    claim->mp = SynthesizeMp(ctx_index);
+    claim->mp = SynthesizeMp();
   } else {
     MacPort* mac = core_.ports[port];
     auto mp = mac->RxClaim();
@@ -143,8 +107,8 @@ bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
       // §3.2.3 alternative: explicit lifetime, allocation can fail.
       auto addr = core_.stack_pool->Allocate(meta);
       if (!addr) {
-        Retire(core_, Sink::kNoBuffer, meta.packet_id,
-               ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port);
+        Retire(core_, Sink::kNoBuffer, meta.packet_id, ObsUnitOf(contexts_.context(ctx_index)),
+               port);
         as.in_packet = false;
         return false;
       }
@@ -156,9 +120,8 @@ bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
     }
     as.next_mp = 0;
     as.in_packet = true;
-    NPR_OBS_HOOK(core_.obs,
-                 Record(SpanPoint::kPktIngress, claim->mp.tag.packet_id,
-                        ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port));
+    NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kPktIngress, claim->mp.tag.packet_id,
+                                   ObsUnitOf(contexts_.context(ctx_index)), port));
   }
   claim->buffer_addr = as.buffer_addr;
   claim->mp_index = as.next_mp;
@@ -211,85 +174,32 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
   disp.priority = 0;
 
   // Per-flow VRP program (at most one, §4.6), then the general chain, IP
-  // last being the built-in transform above.
+  // last being the built-in transform above. Only the per-flow program
+  // picks a queue or raises an exception.
   if (outcome.flow != nullptr && outcome.flow->where == Where::kMicroEngine &&
       !core_.istore->IsThrottled(outcome.flow->me_program_id)) {
     const VrpProgram* program = core_.istore->Get(outcome.flow->me_program_id);
     if (program != nullptr) {
-      // Upgrade shadow hooks: snapshot the pristine MP, then hand the
-      // post-run view and verdict to the orchestrator's comparator.
-      // Functional only — no cycles, no Rng.
-      if (core_.upgrade != nullptr) {
-        core_.upgrade->BeginPacket(outcome.flow->me_program_id, mp_bytes);
-      }
-      auto run = core_.vrp->Run(*program, mp_bytes, outcome.flow->state_addr, &cfg.budget);
-      if (core_.fault != nullptr && run.action != VrpAction::kTrap &&
-          core_.fault->ShouldTrapVrp()) {
-        run.action = VrpAction::kTrap;
-      }
-      if (core_.upgrade != nullptr) {
-        core_.upgrade->EndPacket(outcome.flow->me_program_id, mp_bytes, run);
-      }
-      vrp_cost->cycles += run.metered.cycles;
-      vrp_cost->sram_reads += run.metered.sram_reads;
-      vrp_cost->sram_writes += run.metered.sram_writes;
-      vrp_cost->hashes += run.metered.hashes;
+      const VrpOutcome run = RunForwarder(
+          {program, outcome.flow->state_addr, outcome.flow->me_program_id}, mp_bytes,
+          arrival_port, vrp_cost, packet_id, obs_unit);
       if (run.queue) {
         disp.priority = std::min<uint32_t>(
             *run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
       }
-      if (run.action == VrpAction::kDrop) {
-        Retire(core_, Sink::kVrp, packet_id, obs_unit, arrival_port);
-        disp.act = Disposition::Act::kDrop;
-        return disp;
-      }
-      if (run.action == VrpAction::kExcept) {
-        disp.act = Disposition::Act::kStrongArm;
-        return disp;
-      }
-      if (run.action == VrpAction::kTrap) {
-        core_.stats->vrp_traps += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
-                                       static_cast<uint16_t>(FaultKind::kVrpTrap)));
-        NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
-        if (core_.health != nullptr) {
-          core_.health->OnVrpTrap(outcome.flow->me_program_id);
-        }
-        disp.act = Disposition::Act::kStrongArm;
+      if (run.action != VrpAction::kSend) {
+        disp.act = run.action == VrpAction::kDrop ? Disposition::Act::kDrop
+                                                  : Disposition::Act::kStrongArm;
         return disp;
       }
     }
   }
   for (const auto& general : core_.istore->GeneralChain()) {
-    if (core_.upgrade != nullptr) {
-      core_.upgrade->BeginPacket(general.id, mp_bytes);
-    }
-    auto run = core_.vrp->Run(*general.program, mp_bytes, general.state_addr, &cfg.budget);
-    if (core_.fault != nullptr && run.action != VrpAction::kTrap &&
-        core_.fault->ShouldTrapVrp()) {
-      run.action = VrpAction::kTrap;
-    }
-    if (core_.upgrade != nullptr) {
-      core_.upgrade->EndPacket(general.id, mp_bytes, run);
-    }
-    vrp_cost->cycles += run.metered.cycles;
-    vrp_cost->sram_reads += run.metered.sram_reads;
-    vrp_cost->sram_writes += run.metered.sram_writes;
-    vrp_cost->hashes += run.metered.hashes;
-    if (run.action == VrpAction::kDrop) {
-      Retire(core_, Sink::kVrp, packet_id, obs_unit, arrival_port);
-      disp.act = Disposition::Act::kDrop;
-      return disp;
-    }
-    if (run.action == VrpAction::kTrap) {
-      core_.stats->vrp_traps += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
-                                     static_cast<uint16_t>(FaultKind::kVrpTrap)));
-      NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
-      if (core_.health != nullptr) {
-        core_.health->OnVrpTrap(general.id);
-      }
-      disp.act = Disposition::Act::kStrongArm;
+    const VrpOutcome run =
+        RunForwarder(general, mp_bytes, arrival_port, vrp_cost, packet_id, obs_unit);
+    if (run.action == VrpAction::kDrop || run.action == VrpAction::kTrap) {
+      disp.act = run.action == VrpAction::kDrop ? Disposition::Act::kDrop
+                                                : Disposition::Act::kStrongArm;
       return disp;
     }
   }
@@ -301,80 +211,75 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
              rng_.Chance(cfg.synthetic_exceptional_fraction)) {
     disp.act = Disposition::Act::kStrongArm;
   }
-  (void)arrival_port;
   return disp;
 }
 
-Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t port) {
+VrpOutcome InputStage::RunForwarder(const IStoreLayout::GeneralEntry& fwd,
+                                    std::span<uint8_t> mp_bytes, uint8_t arrival_port,
+                                    VrpCost* vrp_cost, uint32_t packet_id, uint8_t obs_unit) {
+  // Upgrade shadow hooks: snapshot the pristine MP, then hand the post-run
+  // view and verdict to the orchestrator's comparator. Functional only — no
+  // cycles, no Rng.
+  if (core_.upgrade != nullptr) {
+    core_.upgrade->BeginPacket(fwd.id, mp_bytes);
+  }
+  VrpOutcome run = core_.vrp->Run(*fwd.program, mp_bytes, fwd.state_addr, &core_.config->budget);
+  if (core_.fault != nullptr && run.action != VrpAction::kTrap && core_.fault->ShouldTrapVrp()) {
+    run.action = VrpAction::kTrap;
+  }
+  if (core_.upgrade != nullptr) {
+    core_.upgrade->EndPacket(fwd.id, mp_bytes, run);
+  }
+  vrp_cost->cycles += run.metered.cycles;
+  vrp_cost->sram_reads += run.metered.sram_reads;
+  vrp_cost->sram_writes += run.metered.sram_writes;
+  vrp_cost->hashes += run.metered.hashes;
+  if (run.action == VrpAction::kDrop) {
+    Retire(core_, Sink::kVrp, packet_id, obs_unit, arrival_port);
+  } else if (run.action == VrpAction::kTrap) {
+    core_.stats->vrp_traps += 1;
+    NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
+                                   static_cast<uint16_t>(FaultKind::kVrpTrap)));
+    NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
+    if (core_.health != nullptr) {
+      core_.health->OnVrpTrap(fwd.id);
+    }
+  }
+  return run;
+}
+
+Task InputStage::ContextLoop(int ctx_index) {
   const RouterConfig& cfg = *core_.config;
   const StageCosts& costs = cfg.costs;
   MemorySystem& mem = core_.chip->memory();
   StageStats& st = core_.stats->input;
-
-  // Back-to-back Compute fusion gate. Fusing two pipeline occupancies into
-  // one preserves this context's timeline exactly, but enqueues the
-  // completion event earlier than the two-event shape did — which reorders
-  // same-instant event ties and perturbs replay whenever another actor can
-  // observe them. So fusion is confined to the isolated synthetic input
-  // profile (Table 1 I rows): synthetic MPs, no output stage, no stack
-  // pool, no observer, no fault plan. Everything else keeps the exact
-  // event-for-event shape.
-  const bool fuse_static = cfg.port_mode == PortMode::kInfiniteFifo &&
-                           cfg.output_contexts() == 0 && core_.stack_pool == nullptr &&
-                           !cfg.dram_direct_path;
+  HwContext& ctx = contexts_.context(ctx_index);
+  TokenRing& ring = contexts_.ring();
+  const uint8_t port = static_cast<uint8_t>(ctx_index % cfg.num_ports());
 
   for (;;) {
     // Crash-safe point: no token, mutex, or claim is held here, so a crash
     // loses no packet — at worst a partial assembly waits for the port's
     // sibling context or this context's restart.
-    if (core_.fault != nullptr && core_.fault->ShouldCrashContext()) {
-      core_.stats->context_crashes += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, 0, ObsUnitOf(ctx),
-                                     static_cast<uint16_t>(FaultKind::kContextCrash)));
-      ring_.SetMemberDown(member, true);
-      // A lost restart models the recovery path itself failing: nothing is
-      // scheduled, and only a health monitor (if attached) brings the
-      // context back.
-      if (!core_.fault->ShouldLoseRestart()) {
-        InputStage* self = this;
-        core_.engine->ScheduleIn(core_.fault->context_restart_ps(),
-                                 [self, ctx_index] { self->RestartContext(ctx_index); });
-      }
+    if (contexts_.Crashed(ctx_index)) {
       co_return;
     }
-    co_await ring_.Acquire(member);
+    co_await ring.Acquire(ctx_index);
     // Token critical section: port check + DMA issue (§3.2.2). The
     // calibrated overhead models the signal test and branch shadow.
-    //
-    // Synthetic isolation fast path: the claim cannot fail (synthetic MPs
-    // always materialize) and nothing can observe the instant it lands
-    // inside the token hold, so the two pipeline occupancies around it
-    // fuse into one — same cycle total, same token timeline, one fewer
-    // event per MP.
-    Claim claim;
-    const bool fuse = fuse_static && core_.obs == nullptr && core_.fault == nullptr;
-    if (fuse) {
-      co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles +
-                           costs.in_cs_dma_issue);
-      st.reg_cycles += costs.in_cs_port_check;
-      const bool claimed = ClaimNext(port, ctx_index, &claim);
-      assert(claimed);
-      (void)claimed;
-      st.reg_cycles += costs.in_cs_dma_issue;
-    } else {
-      co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles);
-      st.reg_cycles += costs.in_cs_port_check;
+    co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles);
+    st.reg_cycles += costs.in_cs_port_check;
 
-      if (!ClaimNext(port, ctx_index, &claim)) {
-        ring_.Release(member);
-        co_await ctx.Compute(costs.in_loop);
-        // Idle port: give the engine to siblings rather than spinning hot.
-        co_await ctx.Yield();
-        continue;
-      }
-      co_await ctx.Compute(costs.in_cs_dma_issue);
-      st.reg_cycles += costs.in_cs_dma_issue;
+    Claim claim;
+    if (!ClaimNext(port, ctx_index, &claim)) {
+      ring.Release(ctx_index);
+      co_await ctx.Compute(costs.in_loop);
+      // Idle port: give the engine to siblings rather than spinning hot.
+      co_await ctx.Yield();
+      continue;
     }
+    co_await ctx.Compute(costs.in_cs_dma_issue);
+    st.reg_cycles += costs.in_cs_dma_issue;
 
     if (cfg.port_mode == PortMode::kReal) {
       // The DMA moves the MP from port memory to the context's RFIFO slot
@@ -382,7 +287,7 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
       // issued (Figure 5, lines 3-4).
       HwContext* self = &ctx;
       core_.chip->rx_dma().Transfer(64, [self] { self->MakeReady(); });
-      ring_.Release(member);
+      ring.Release(ctx_index);
       co_await ctx.Block();
       // Functional: the MP lands in this context's FIFO slot.
       FifoSlot& slot = core_.chip->rfifo().slot(ctx_index % core_.chip->rfifo().size());
@@ -390,34 +295,29 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
       slot.tag = claim.mp.tag;
       slot.valid = true;
     } else {
-      ring_.Release(member);
+      ring.Release(ctx_index);
     }
 
-    if (fuse) {
-      co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy + costs.in_protocol);
-      st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy + costs.in_protocol;
-    } else {
-      co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy);
-      st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy;
-      if (core_.stack_pool != nullptr && claim.mp.tag.sop) {
-        // §3.2.3 alternative: the buffer pop is an extra SRAM round trip.
-        co_await ctx.Read(mem.sram(), 4);
-        st.sram_reads += 1;
-      }
-      if (cfg.dram_direct_path) {
-        // §3.7 ablation: the port's DMA already wrote the MP to DRAM, and
-        // the context must fetch it from there rather than from a FIFO slot.
-        mem.dram().Issue(64, /*is_write=*/true, nullptr);  // port -> DRAM (DMA)
-        co_await ctx.Read(mem.dram(), 64);                 // DRAM -> registers
-        st.dram_reads += 2;
-        st.dram_writes += 2;
-      }
-
-      // Protocol processing (§3.2): classification + forwarder, charged per
-      // MP. The route-cache entry is 8 bytes = two 4-byte SRAM reads.
-      co_await ctx.Compute(costs.in_protocol);
-      st.reg_cycles += costs.in_protocol;
+    co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy);
+    st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy;
+    if (core_.stack_pool != nullptr && claim.mp.tag.sop) {
+      // §3.2.3 alternative: the buffer pop is an extra SRAM round trip.
+      co_await ctx.Read(mem.sram(), 4);
+      st.sram_reads += 1;
     }
+    if (cfg.dram_direct_path) {
+      // §3.7 ablation: the port's DMA already wrote the MP to DRAM, and
+      // the context must fetch it from there rather than from a FIFO slot.
+      mem.dram().Issue(64, /*is_write=*/true, nullptr);  // port -> DRAM (DMA)
+      co_await ctx.Read(mem.dram(), 64);                 // DRAM -> registers
+      st.dram_reads += 2;
+      st.dram_writes += 2;
+    }
+
+    // Protocol processing (§3.2): classification + forwarder, charged per
+    // MP. The route-cache entry is 8 bytes = two 4-byte SRAM reads.
+    co_await ctx.Compute(costs.in_protocol);
+    st.reg_cycles += costs.in_protocol;
     co_await ctx.Read(mem.sram(), 4);
     co_await ctx.Read(mem.sram(), 4);
     st.sram_reads += 2;
@@ -507,29 +407,17 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
           break;
       }
 
-      if (mutex != nullptr && fuse) {
+      if (mutex != nullptr) {
         co_await mutex->Acquire(ctx);
         st.mutex_ops += 2;
-        // Mutex bookkeeping, the CAM probe pipeline stall (engine time, not
-        // instructions — see HwConfig::mutex_pipeline_stall_cycles), and the
-        // enqueue itself run back to back under the mutex, so they fuse into
-        // one pipeline occupancy (same cycle total, two fewer events).
-        co_await ctx.Compute(costs.in_mutex_ops + cfg.hw.mutex_pipeline_stall_cycles +
-                             costs.in_enqueue);
-        st.reg_cycles += costs.in_mutex_ops + costs.in_enqueue;
-      } else {
-        if (mutex != nullptr) {
-          co_await mutex->Acquire(ctx);
-          st.mutex_ops += 2;
-          co_await ctx.Compute(costs.in_mutex_ops);
-          st.reg_cycles += costs.in_mutex_ops;
-          // CAM probe pipeline stall: engine time, not instructions (see
-          // HwConfig::mutex_pipeline_stall_cycles).
-          co_await ctx.Compute(cfg.hw.mutex_pipeline_stall_cycles);
-        }
-        co_await ctx.Compute(costs.in_enqueue);
-        st.reg_cycles += costs.in_enqueue;
+        co_await ctx.Compute(costs.in_mutex_ops);
+        st.reg_cycles += costs.in_mutex_ops;
+        // CAM probe pipeline stall: engine time, not instructions (see
+        // HwConfig::mutex_pipeline_stall_cycles).
+        co_await ctx.Compute(cfg.hw.mutex_pipeline_stall_cycles);
       }
+      co_await ctx.Compute(costs.in_enqueue);
+      st.reg_cycles += costs.in_enqueue;
 
       PacketDescriptor d;
       d.buffer_addr = claim.buffer_addr;

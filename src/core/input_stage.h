@@ -19,7 +19,7 @@
 
 #include "src/core/classifier.h"
 #include "src/core/router_core.h"
-#include "src/ixp/token_ring.h"
+#include "src/core/stage_contexts.h"
 #include "src/net/packet.h"
 #include "src/sim/random.h"
 #include "src/sim/task.h"
@@ -33,16 +33,10 @@ class InputStage {
   // Installs and starts the context programs. Call once.
   void Start();
 
-  TokenRing& token_ring() { return ring_; }
-  int num_contexts() const { return static_cast<int>(members_.size()); }
-
-  // Health-monitor recovery interface. RecoverContext reinstalls a crashed
-  // context whose scheduled restart was lost; it is a no-op if the context
-  // is up (or a restart already ran), so watchdog and normal restart can
-  // race safely.
-  void RecoverContext(int ctx_index);
-  bool ContextDown(int ctx_index) const;
-  SimTime ContextDownSincePs(int ctx_index) const;
+  TokenRing& token_ring() { return contexts_.ring(); }
+  // The stage's contexts: ring membership, crash and restart (the health
+  // monitor's recovery interface).
+  StageContexts& contexts() { return contexts_; }
 
   // Synthetic packets generated in InfiniteFifo mode.
   uint64_t synthetic_generated() const { return synthetic_seq_; }
@@ -77,10 +71,7 @@ class InputStage {
     Disposition disp;
   };
 
-  Task ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t port);
-
-  // Reinstalls a crashed context's loop and rejoins it to the token ring.
-  void RestartContext(int ctx_index);
+  Task ContextLoop(int ctx_index);
 
   // Claims the next MP (real port or synthesized), allocating a buffer on
   // start-of-packet. Runs inside the token critical section.
@@ -93,15 +84,19 @@ class InputStage {
   Disposition ClassifyFirstMp(std::span<uint8_t> mp_bytes, uint8_t arrival_port,
                               VrpCost* vrp_cost, uint32_t packet_id, uint8_t obs_unit);
 
-  Mp SynthesizeMp(int ctx_index);
+  // Runs one VRP forwarder over the first MP: the upgrade shadow hooks, an
+  // injected trap, and its metered cost added to `vrp_cost`. A drop verdict
+  // has retired the packet and a trap has been reported when this returns;
+  // the caller maps the remaining verdicts to a disposition.
+  VrpOutcome RunForwarder(const IStoreLayout::GeneralEntry& fwd, std::span<uint8_t> mp_bytes,
+                          uint8_t arrival_port, VrpCost* vrp_cost, uint32_t packet_id,
+                          uint8_t obs_unit);
+
+  Mp SynthesizeMp();
 
   RouterCore& core_;
   Classifier& classifier_;
-  TokenRing ring_;
-  std::vector<HwContext*> members_;  // ring order
-  std::vector<int> member_index_;    // ring member id per context (restart)
-  std::vector<uint8_t> port_of_;     // port served per context (restart)
-  std::vector<Task> holder_;         // not used: tasks installed into contexts
+  StageContexts contexts_;
   std::vector<PortAssembly> assembly_;
   Rng rng_;
   uint64_t synthetic_seq_ = 0;

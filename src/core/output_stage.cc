@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/fault/fault_injector.h"
 #include "src/obs/observer.h"
 
 namespace npr {
 
-OutputStage::OutputStage(RouterCore& core)
-    : core_(core), ring_(*core.engine, core.config->hw.token_pass_cycles) {}
+OutputStage::OutputStage(RouterCore& core) : core_(core), contexts_(core) {}
 
 void OutputStage::Start() {
   const RouterConfig& cfg = *core_.config;
@@ -20,16 +18,9 @@ void OutputStage::Start() {
   const int first_me = (cfg.input_contexts() + per_me - 1) / per_me;
   assert(first_me + n_me <= core_.chip->num_mes());
 
-  members_.clear();
   streaming_.assign(static_cast<size_t>(n_ctx), Streaming{});
   for (int r = 0; r < n_ctx; ++r) {
-    const int me = first_me + r % n_me;
-    const int slot = r / n_me;
-    members_.push_back(&core_.chip->me(me).context(slot));
-  }
-  member_index_.clear();
-  for (int r = 0; r < n_ctx; ++r) {
-    member_index_.push_back(ring_.AddMember(*members_[static_cast<size_t>(r)]));
+    contexts_.Add(core_.chip->me(first_me + r % n_me).context(r / n_me));
   }
   if (cfg.output_fake_data) {
     // Build the eternal template packet once; the fake descriptor's buffer
@@ -45,34 +36,7 @@ void OutputStage::Start() {
     fake_ready_ = true;
   }
 
-  for (int r = 0; r < n_ctx; ++r) {
-    HwContext* ctx = members_[static_cast<size_t>(r)];
-    ctx->Install(ContextLoop(*ctx, member_index_[static_cast<size_t>(r)], r));
-  }
-}
-
-void OutputStage::RestartContext(int out_ctx_index) {
-  const int member = member_index_[static_cast<size_t>(out_ctx_index)];
-  HwContext* ctx = members_[static_cast<size_t>(out_ctx_index)];
-  // Idempotent: the health monitor and the scheduled restart can race; only
-  // the first one reinstalls the loop (a crash marks the member down before
-  // its loop co_returns, so member-up means the context is live).
-  if (!ring_.member_down(member)) {
-    return;
-  }
-  core_.stats->context_restarts += 1;
-  ring_.SetMemberDown(member, false);
-  ctx->Install(ContextLoop(*ctx, member, out_ctx_index));
-}
-
-void OutputStage::RecoverContext(int out_ctx_index) { RestartContext(out_ctx_index); }
-
-bool OutputStage::ContextDown(int out_ctx_index) const {
-  return ring_.member_down(member_index_[static_cast<size_t>(out_ctx_index)]);
-}
-
-SimTime OutputStage::ContextDownSincePs(int out_ctx_index) const {
-  return ring_.member_down_since_ps(member_index_[static_cast<size_t>(out_ctx_index)]);
+  contexts_.Start([this](int r) { return ContextLoop(r); });
 }
 
 int OutputStage::active_streams() const {
@@ -107,46 +71,29 @@ void OutputStage::CompletePacket(const PacketDescriptor& desc) {
   }
 }
 
-Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
+Task OutputStage::ContextLoop(int out_ctx_index) {
   const RouterConfig& cfg = *core_.config;
   const StageCosts& costs = cfg.costs;
   MemorySystem& mem = core_.chip->memory();
   StageStats& st = core_.stats->output;
+  HwContext& ctx = contexts_.context(out_ctx_index);
+  TokenRing& ring = contexts_.ring();
   Streaming& cur = streaming_[static_cast<size_t>(out_ctx_index)];
   const auto& queues = core_.queues->QueuesForOutputContext(out_ctx_index);
   const uint32_t batch_max = 8;
 
-  // Output-only synthetic runs (fake descriptors, no input stage feeding the
-  // queues, no observer, no fault plan): the queues stay empty forever, so
-  // selection always lands on the fake descriptor and nothing can observe
-  // the instant between queue selection and dequeue. The two pipeline
-  // occupancies fuse into one Compute — same cycle total, one fewer event
-  // per packet.
-  const bool fuse_select_dequeue = cfg.output_fake_data && cfg.input_contexts() == 0;
-
   for (;;) {
     // Crash-safe point: no token is held. A mid-stream packet survives in
     // streaming_[out_ctx_index] and resumes after the restart.
-    if (core_.fault != nullptr && core_.fault->ShouldCrashContext()) {
-      core_.stats->context_crashes += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, 0, ObsUnitOf(ctx),
-                                     static_cast<uint16_t>(FaultKind::kContextCrash)));
-      ring_.SetMemberDown(member, true);
-      // A lost restart leaves the context down until a health monitor (if
-      // attached) reinstalls it.
-      if (!core_.fault->ShouldLoseRestart()) {
-        OutputStage* self = this;
-        core_.engine->ScheduleIn(core_.fault->context_restart_ps(),
-                                 [self, out_ctx_index] { self->RestartContext(out_ctx_index); });
-      }
+    if (contexts_.Crashed(out_ctx_index)) {
       co_return;
     }
     // Token critical section: keep the strictly ordered transmit FIFO
     // slots in rotation (§3.3).
-    co_await ring_.Acquire(member);
+    co_await ring.Acquire(out_ctx_index);
     co_await ctx.Compute(costs.out_cs + cfg.hw.output_token_overhead_cycles);
     st.reg_cycles += costs.out_cs;
-    ring_.Release(member);
+    ring.Release(out_ctx_index);
 
     if (!cur.active) {
       // select_queue (§3.4.1): fixed priority order over this context's
@@ -172,14 +119,8 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
           select_cost += costs.out_indirection_cycles;
           break;
       }
-      const bool fused = fuse_select_dequeue && core_.obs == nullptr && core_.fault == nullptr;
-      if (fused) {
-        co_await ctx.Compute(select_cost + costs.out_dequeue);
-        st.reg_cycles += select_cost + costs.out_dequeue;
-      } else {
-        co_await ctx.Compute(select_cost);
-        st.reg_cycles += select_cost;
-      }
+      co_await ctx.Compute(select_cost);
+      st.reg_cycles += select_cost;
 
       PacketQueue* chosen = nullptr;
       for (PacketQueue* q : queues) {
@@ -197,7 +138,6 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       }
       const bool use_fake = chosen == nullptr && fake_ready_;
       if (chosen == nullptr && !use_fake) {
-        assert(!fused && "fused select+dequeue requires the fake descriptor");
         core_.stats->output_idle_iters += 1;
         cur.batch_remaining = 0;
         co_await ctx.Compute(costs.out_loop);
@@ -214,11 +154,9 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       }
 
       // Dequeue: descriptors are fetched in 16-byte SRAM bursts, one burst
-      // per `dequeue_burst` packets. (Charged with selection when fused.)
-      if (!fused) {
-        co_await ctx.Compute(costs.out_dequeue);
-        st.reg_cycles += costs.out_dequeue;
-      }
+      // per `dequeue_burst` packets.
+      co_await ctx.Compute(costs.out_dequeue);
+      st.reg_cycles += costs.out_dequeue;
       if (cur.pops_since_burst == 0) {
         co_await ctx.Read(mem.sram(), 16);
         st.sram_reads += 1;

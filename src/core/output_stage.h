@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/core/router_core.h"
-#include "src/ixp/token_ring.h"
+#include "src/core/stage_contexts.h"
 #include "src/sim/task.h"
 
 namespace npr {
@@ -27,13 +27,9 @@ class OutputStage {
   // Installs and starts the context programs. Call once.
   void Start();
 
-  TokenRing& token_ring() { return ring_; }
-  int num_contexts() const { return static_cast<int>(members_.size()); }
-
-  // Health-monitor recovery interface (see InputStage for semantics).
-  void RecoverContext(int out_ctx_index);
-  bool ContextDown(int out_ctx_index) const;
-  SimTime ContextDownSincePs(int out_ctx_index) const;
+  TokenRing& token_ring() { return contexts_.ring(); }
+  // The stage's contexts (see InputStage::contexts).
+  StageContexts& contexts() { return contexts_; }
 
   // Completes a packet on behalf of the StrongARM/Pentium return path
   // (those processors hand packets back to ordinary output queues; the
@@ -53,7 +49,7 @@ class OutputStage {
     uint32_t pops_since_burst = 0;
   };
 
-  Task ContextLoop(HwContext& ctx, int member, int out_ctx_index);
+  Task ContextLoop(int out_ctx_index);
   void CompletePacket(const PacketDescriptor& desc);
 
   // Delivers the oldest MP handed to the transmit DMA. The IX bus is a
@@ -62,13 +58,8 @@ class OutputStage {
   // capture) keeps the per-MP DMA event allocation-free.
   void DeliverHeadFromDma();
 
-  // Reinstalls a crashed context's loop and rejoins it to the token ring.
-  void RestartContext(int out_ctx_index);
-
   RouterCore& core_;
-  TokenRing ring_;
-  std::vector<HwContext*> members_;
-  std::vector<int> member_index_;  // ring member id per context (restart)
+  StageContexts contexts_;
   std::vector<Streaming> streaming_;  // per output context
   // output_fake_data mode: the eternal descriptor served when queues are
   // empty (see RouterConfig).

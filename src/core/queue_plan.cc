@@ -23,10 +23,10 @@ QueuePlan::QueuePlan(EventQueue& engine, MemorySystem& memory, const RouterConfi
   }
 
   by_output_ctx_.resize(static_cast<size_t>(num_output_contexts));
-  ready_word_addr_.resize(static_cast<size_t>(num_output_contexts));
-  for (int j = 0; j < num_output_contexts; ++j) {
-    ready_word_addr_[static_cast<size_t>(j)] = scratch_arena.Alloc(4);
-    scratch_store_.WriteU32(ready_word_addr_[static_cast<size_t>(j)], 0);
+  std::vector<uint32_t> ready_word_addr(static_cast<size_t>(num_output_contexts));
+  for (uint32_t& addr : ready_word_addr) {
+    addr = scratch_arena.Alloc(4);
+    scratch_store_.WriteU32(addr, 0);
   }
 
   queues_.reserve(static_cast<size_t>(total));
@@ -49,7 +49,7 @@ QueuePlan::QueuePlan(EventQueue& engine, MemorySystem& memory, const RouterConfi
         aux.mutex = mutexes_.back().get();
       }
       auto& list = by_output_ctx_[static_cast<size_t>(aux.out_ctx)];
-      aux.ready_word = ready_word_addr_[static_cast<size_t>(aux.out_ctx)];
+      aux.ready_word = ready_word_addr[static_cast<size_t>(aux.out_ctx)];
       aux.ready_bit = static_cast<uint32_t>(list.size());
       assert(aux.ready_bit < 32 && "more queues per output context than readiness bits");
       list.push_back(queues_.back().get());

@@ -52,9 +52,6 @@ class QueuePlan {
   }
 
   // Readiness bit-array support (O.3).
-  uint32_t ReadyWordAddr(int out_ctx) const {
-    return ready_word_addr_[static_cast<size_t>(out_ctx)];
-  }
   void MarkReady(const PacketQueue& queue);
   void ClearReady(const PacketQueue& queue);
   bool IsReady(const PacketQueue& queue) const;
@@ -82,7 +79,6 @@ class QueuePlan {
   std::vector<std::unique_ptr<HwMutex>> mutexes_;
   std::vector<std::vector<PacketQueue*>> by_output_ctx_;
   std::vector<int> port_to_out_ctx_;
-  std::vector<uint32_t> ready_word_addr_;  // per output context
 
   size_t IndexFor(int input_ctx, uint8_t out_port, uint32_t priority) const;
 };

@@ -137,14 +137,13 @@ void CheckTokenLiveness(Router& router, InvariantReport* report) {
   struct Stage {
     const char* name;
     TokenRing* ring;
-    int contexts;
   };
   const Stage stages[] = {
-      {"input", &router.input_stage().token_ring(), router.input_stage().num_contexts()},
-      {"output", &router.output_stage().token_ring(), router.output_stage().num_contexts()},
+      {"input", &router.input_stage().token_ring()},
+      {"output", &router.output_stage().token_ring()},
   };
   for (const Stage& s : stages) {
-    if (s.contexts == 0 || s.ring->members_up() == 0) {
+    if (s.ring->size() == 0 || s.ring->members_up() == 0) {
       continue;  // stage disabled, or every context crashed (restart pending)
     }
     if (s.ring->token_lost()) {

@@ -144,28 +144,4 @@ void ClusterHealthMonitor::CloseFailoverFromRecords() {
   }
 }
 
-std::vector<RecoveryEvent> ClusterHealthMonitor::ReconvergenceEvents() const {
-  std::vector<RecoveryEvent> out;
-  out.reserve(control_.records().size());
-  for (const ReconvergenceRecord& r : control_.records()) {
-    RecoveryEvent ev;
-    switch (r.kind) {
-      case ReconvergenceRecord::Kind::kLinkDown:
-        ev.kind = RecoveryEvent::Kind::kLinkFailover;
-        break;
-      case ReconvergenceRecord::Kind::kNodeDown:
-        ev.kind = RecoveryEvent::Kind::kNodeFailover;
-        break;
-      case ReconvergenceRecord::Kind::kNodeReadmit:
-        ev.kind = RecoveryEvent::Kind::kNodeReadmit;
-        break;
-    }
-    ev.fault_at = r.fault_at;
-    ev.detected_at = r.detected_at;
-    ev.recovered_at = r.reconverged_at;
-    out.push_back(ev);
-  }
-  return out;
-}
-
 }  // namespace npr

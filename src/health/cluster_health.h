@@ -75,10 +75,6 @@ class ClusterHealthMonitor {
 
   // Probe-driven episodes (kNodeFailover paired with kNodeReadmit).
   const std::vector<RecoveryEvent>& events() const { return events_; }
-  // The control plane's ReconvergenceRecords folded into RecoveryEvents
-  // (kLinkFailover / kNodeFailover / kNodeReadmit) so benches report one
-  // uniform MTTD/MTTR table across intra-node and cluster fault classes.
-  std::vector<RecoveryEvent> ReconvergenceEvents() const;
 
   uint64_t probes_sent() const { return probes_sent_; }
   uint64_t probes_acked() const { return probes_acked_; }

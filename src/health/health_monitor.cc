@@ -94,21 +94,15 @@ void HealthMonitor::CheckTokenRings() {
 
 void HealthMonitor::CheckContexts() {
   const SimTime now = router_.engine().now();
-  InputStage& in = router_.input_stage();
-  for (int i = 0; i < in.num_contexts(); ++i) {
-    if (in.ContextDown(i) && now - in.ContextDownSincePs(i) >= cfg_.context_deadline_ps) {
-      const SimTime fault_at = in.ContextDownSincePs(i);
-      in.RecoverContext(i);
-      router_.stats().watchdog_fired += 1;
-      events_.push_back({RecoveryEvent::Kind::kContextRestore, fault_at, now, now});
-      RecordRecoverySpan(router_, RecoveryEvent::Kind::kContextRestore);
-    }
-  }
-  OutputStage& out = router_.output_stage();
-  for (int i = 0; i < out.num_contexts(); ++i) {
-    if (out.ContextDown(i) && now - out.ContextDownSincePs(i) >= cfg_.context_deadline_ps) {
-      const SimTime fault_at = out.ContextDownSincePs(i);
-      out.RecoverContext(i);
+  StageContexts* stages[] = {&router_.input_stage().contexts(),
+                             &router_.output_stage().contexts()};
+  for (StageContexts* stage : stages) {
+    for (int i = 0; i < stage->size(); ++i) {
+      if (!stage->Down(i) || now - stage->DownSincePs(i) < cfg_.context_deadline_ps) {
+        continue;
+      }
+      const SimTime fault_at = stage->DownSincePs(i);
+      stage->Restart(i);
       router_.stats().watchdog_fired += 1;
       events_.push_back({RecoveryEvent::Kind::kContextRestore, fault_at, now, now});
       RecordRecoverySpan(router_, RecoveryEvent::Kind::kContextRestore);

@@ -36,11 +36,9 @@ class DmaEngine {
   // itself stays allocation-free; setup delays are identical, so completions
   // pop in issue order.
   //
-  // Note: folding the setup delay into the bus issue itself
-  // (MemoryChannel::IssueDeferred) produces arithmetically identical
-  // completion times, but enqueues the completion event earlier — which
-  // reorders same-instant event ties under contention and breaks
-  // bit-identical replay. The two-event shape is kept deliberately.
+  // The setup delay stays its own event rather than folding into the bus
+  // issue: an event's enqueue instant orders same-instant ties, so it is
+  // part of the replay contract.
   void Transfer(uint32_t bytes, EventFn done) {
     pending_.push_back(Pending{bytes, std::move(done)});
     engine_.ScheduleRaw(engine_.now() + kIxpClock.ToTime(setup_cycles_), &DmaEngine::IssueHead,

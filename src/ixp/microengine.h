@@ -105,7 +105,6 @@ class HwContext {
 
   // True if the context is blocked in Block() awaiting an external waker.
   bool IsBlocked() const { return state_ == State::kBlocked; }
-  bool IsInstalled() const { return installed_; }
 
   MicroEngine& engine() const { return me_; }
   int index() const { return index_; }

@@ -19,11 +19,11 @@ SimTime MemoryChannel::Occupancy(uint32_t bytes) const {
   return static_cast<SimTime>(bus_cycles) * config_.bus_cycle_ps;
 }
 
-SimTime MemoryChannel::IssueAt(SimTime virtual_now, uint32_t bytes, bool is_write,
-                               EventFn done) {
+SimTime MemoryChannel::Issue(uint32_t bytes, bool is_write, EventFn done) {
   assert(bytes > 0);
-  const SimTime start = virtual_now + GrantWait(virtual_now);
-  queue_wait_.Add(static_cast<uint64_t>(start - virtual_now));
+  const SimTime now = engine_.now();
+  const SimTime start = now + GrantWait(now);
+  queue_wait_.Add(static_cast<uint64_t>(start - now));
   const SimTime occupancy = Occupancy(bytes);
   busy_until_ = start + occupancy;
   busy_accum_ += occupancy;
@@ -53,22 +53,13 @@ SimTime MemoryChannel::IssueAt(SimTime virtual_now, uint32_t bytes, bool is_writ
   return done_at;
 }
 
-SimTime MemoryChannel::Issue(uint32_t bytes, bool is_write, EventFn done) {
-  return IssueAt(engine_.now(), bytes, is_write, std::move(done));
-}
-
-SimTime MemoryChannel::IssueDeferred(SimTime delay_ps, uint32_t bytes, bool is_write,
-                                     EventFn done) {
-  return IssueAt(engine_.now() + delay_ps, bytes, is_write, std::move(done));
-}
-
 SimTime MemoryChannel::IssueBurst(uint32_t n, uint32_t bytes_each, bool is_write,
                                   EventFn done) {
   assert(n > 0);
   for (uint32_t i = 1; i < n; ++i) {
-    IssueAt(engine_.now(), bytes_each, is_write, EventFn());
+    Issue(bytes_each, is_write, EventFn());
   }
-  return IssueAt(engine_.now(), bytes_each, is_write, std::move(done));
+  return Issue(bytes_each, is_write, std::move(done));
 }
 
 SimTime MemoryChannel::PeekLatency(uint32_t bytes, bool is_write) const {

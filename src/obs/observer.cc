@@ -66,8 +66,22 @@ void Observer::Record(SpanPoint point, uint32_t packet_id, uint8_t unit, uint16_
   UpdateTrack(point, packet_id, now);
 }
 
+size_t Observer::Home(uint32_t packet_id) const {
+  // Packet ids carry structure in their high bits (TrafficGen ids are
+  // port << 24 | seq), so masking the raw id would stack every port's
+  // chains onto one probe cluster. The murmur3 fmix32 finalizer spreads
+  // every input bit over the slot index first.
+  uint32_t h = packet_id;
+  h ^= h >> 16;
+  h *= 0x85ebca6bU;
+  h ^= h >> 13;
+  h *= 0xc2b2ae35U;
+  h ^= h >> 16;
+  return h & tracker_mask_;
+}
+
 Observer::Track* Observer::Find(uint32_t packet_id) {
-  size_t i = packet_id & tracker_mask_;
+  size_t i = Home(packet_id);
   for (size_t probes = 0; probes < kMaxProbes; ++probes) {
     Track& t = tracker_[i];
     if (!t.used) return nullptr;
@@ -78,7 +92,7 @@ Observer::Track* Observer::Find(uint32_t packet_id) {
 }
 
 Observer::Track* Observer::FindOrCreate(uint32_t packet_id) {
-  size_t i = packet_id & tracker_mask_;
+  size_t i = Home(packet_id);
   for (size_t probes = 0; probes < kMaxProbes; ++probes) {
     Track& t = tracker_[i];
     if (!t.used) {
@@ -106,7 +120,7 @@ void Observer::Erase(Track* t) {
     j = (j + 1) & tracker_mask_;
     Track& cand = tracker_[j];
     if (!cand.used) return;
-    const size_t home = cand.packet_id & tracker_mask_;
+    const size_t home = Home(cand.packet_id);
     // Move cand into the hole at i unless its home lies cyclically in (i, j].
     const bool home_in_range =
         (i < j) ? (home > i && home <= j) : (home > i || home <= j);

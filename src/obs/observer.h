@@ -99,6 +99,7 @@ class Observer {
     uint64_t mark_ps = 0;    // last stage boundary
   };
 
+  size_t Home(uint32_t packet_id) const;  // a chain's first probe slot
   Track* Find(uint32_t packet_id);
   Track* FindOrCreate(uint32_t packet_id);
   void Erase(Track* t);

@@ -55,9 +55,6 @@ class CpeTrie {
 
   int NewNode(int level);
   void InsertAt(int node_idx, uint32_t addr, uint8_t len, uint32_t value, int bit_off);
-  // Pushes `value` into every slot of the subtree whose current value was
-  // written by a shorter prefix.
-  void PushValue(int node_idx, uint32_t value, uint8_t plen);
 
   std::vector<int> strides_;
   std::vector<Node> nodes_;

@@ -1,7 +1,7 @@
 // Observability layer: per-packet span tracing, the cycle-accounting
 // profiler, and the fault-triggered flight recorder.
 //
-// Three end-to-end properties (they need NPR_OBS_ENABLED and skip
+// Four end-to-end properties (they need NPR_OBS_ENABLED and skip
 // otherwise) plus component unit tests that run in any build:
 //   1. golden trace — the full span stream of the Table 1 line-rate config
 //      at a fixed seed is bit-identical across runs and matches the golden
@@ -13,7 +13,8 @@
 //      cycle totals equal the MicroEngines' own accounting;
 //   3. flight recorder — an injected vrp_trap dumps the faulted packet's
 //      chain up to the failure point; a lost token dumps too, and the
-//      health monitor's recovery span lands at the recorded MTTR.
+//      health monitor's recovery span lands at the recorded MTTR;
+//   4. observation — attaching an Observer changes no event and no counter.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/overload.h"
@@ -325,6 +327,7 @@ TEST(ReconciliationTest, SinkSpansMatchCountersUnderOverloadChaos) {
   // Spelled out, not read from the table, so a row mapped to the wrong
   // point fails here.
   const RouterStats& stats = router->stats();
+  EXPECT_EQ(obs.tracker_overflows(), 0u);
   EXPECT_GT(obs.point_count(SpanPoint::kDropGovRed), 0u);
   EXPECT_GT(obs.point_count(SpanPoint::kDropGovPolice), 0u);
   EXPECT_GT(obs.point_count(SpanPoint::kDropGovQuench), 0u);
@@ -337,6 +340,72 @@ TEST(ReconciliationTest, SinkSpansMatchCountersUnderOverloadChaos) {
   ExpectSinkSpansMatchCounters(obs, stats);
   const InvariantReport report = RouterInvariants::CheckAll(*router);
   EXPECT_TRUE(report.ok()) << report.ToString();
+#endif
+}
+
+// --- observation does not change what it observes -------------------------
+
+// What one synthetic run did: its event count, then every per-stage counter,
+// every sink-table counter and the remaining dispositions.
+struct RunSummary {
+  uint64_t events_run = 0;
+  std::vector<uint64_t> counters;
+};
+
+RunSummary RunSynthetic(RouterConfig cfg, bool observed) {
+  auto router = MakeRouter(std::move(cfg));
+  Observer obs(router->engine());
+  if (observed) {
+    router->SetObserver(&obs);
+  }
+  router->Start();
+  router->RunForMs(2.0);
+  const RouterStats& s = router->stats();
+  RunSummary r;
+  r.events_run = router->engine().events_run();
+  for (const StageStats* st : {&s.input, &s.output}) {
+    r.counters.insert(r.counters.end(),
+                      {st->mps, st->packets, st->reg_cycles, st->sram_reads, st->sram_writes,
+                       st->dram_reads, st->dram_writes, st->scratch_reads, st->scratch_writes,
+                       st->mutex_ops});
+  }
+  for (const SinkRow& row : kSinks) {
+    r.counters.push_back(s.*row.counter);
+  }
+  r.counters.insert(r.counters.end(), {s.forwarded, s.exceptional, s.to_pentium, s.vrp_traps,
+                                       s.output_idle_iters, s.output_lost_iters});
+  return r;
+}
+
+// Each stage runs one event sequence in every configuration, so attaching
+// an Observer changes no event and no counter. Covers the isolated Table 1
+// input row and the Figure 10 max-contention row, the configurations where
+// the stages once merged pipeline slices when nothing was watching.
+TEST(ObservationTest, AttachingAnObserverLeavesTheEventSequenceUnchanged) {
+#if !defined(NPR_OBS_ENABLED)
+  GTEST_SKIP() << "built with NPR_OBS=OFF";
+#else
+  RouterConfig input_only;  // Table 1 I.2: input stage against a zero-cost drain
+  input_only.port_mode = PortMode::kInfiniteFifo;
+  input_only.enable_pentium = false;
+  input_only.enable_strongarm = false;
+  input_only.output_contexts_override = 0;
+  input_only.magic_drain = true;
+  RouterConfig contended = input_only;  // Figure 10, 64 blocks, one protected queue
+  contended.synthetic_single_dst = true;
+  contended.vrp_blocks_reg = 64;
+  contended.vrp_blocks_sram = 64;
+
+  const std::pair<const char*, RouterConfig> cases[] = {{"table1 I.2", input_only},
+                                                        {"fig10 64 blocks", contended}};
+  for (const auto& [name, cfg] : cases) {
+    SCOPED_TRACE(name);
+    const RunSummary bare = RunSynthetic(cfg, /*observed=*/false);
+    const RunSummary observed = RunSynthetic(cfg, /*observed=*/true);
+    ASSERT_GT(bare.counters[1], 1000u) << "input packets";
+    EXPECT_EQ(bare.events_run, observed.events_run);
+    EXPECT_EQ(bare.counters, observed.counters);
+  }
 #endif
 }
 
@@ -655,17 +724,17 @@ TEST(ObserverUnitTest, TerminalsEraseAndLapPointsDoNot) {
 
 TEST(ObserverUnitTest, TrackerCollisionsBackwardShiftAndOverflow) {
   ObserverConfig cfg;
-  cfg.tracker_slots = 64;  // force collisions: ids 1, 65, 129 share a home
+  cfg.tracker_slots = 64;  // force collisions: ids 6, 39, 49 hash to one home
   ObserverHarness h(cfg);
-  h.At(1000, SpanPoint::kPktIngress, 1);
-  h.At(1100, SpanPoint::kPktIngress, 65);
-  h.At(1200, SpanPoint::kPktIngress, 129);
-  h.At(2000, SpanPoint::kDropInvalid, 65);  // erase the middle of the chain
+  h.At(1000, SpanPoint::kPktIngress, 6);
+  h.At(1100, SpanPoint::kPktIngress, 39);
+  h.At(1200, SpanPoint::kPktIngress, 49);
+  h.At(2000, SpanPoint::kDropInvalid, 39);  // erase the middle of the chain
   h.Run();
   EXPECT_EQ(h.obs_.tracker_live(), 2u);
   // Both survivors must still be findable after the backward shift.
-  h.At(3000, SpanPoint::kDropInvalid, 129);
-  h.At(3100, SpanPoint::kDropInvalid, 1);
+  h.At(3000, SpanPoint::kDropInvalid, 49);
+  h.At(3100, SpanPoint::kDropInvalid, 6);
   h.Run();
   EXPECT_EQ(h.obs_.tracker_live(), 0u);
 
