@@ -1,18 +1,27 @@
-// Packet buffer allocation in DRAM (§3.2.3).
+// Packet buffer store in DRAM (§3.2.3).
 //
 // 16 MB of DRAM is divided into 8192 buffers of 2 KB (each large enough for
-// a maximal 1518-octet frame), consumed circularly as packets arrive. The
-// paper's deliberate design quirk is preserved: a buffer is valid for one
-// lap of the ring; if the output side has not drained it by the time the
-// allocator wraps around, the packet is silently overwritten ("effectively
-// lost"). Lap detection statistics expose when that happens.
+// a maximal 1518-octet frame). One store hands them out under one of two
+// lifetime policies, fixed at construction:
 //
-// The per-port stack pool the paper describes but chose not to build
-// (hardware push/pop support) is also provided for the ablation bench.
+//  * kRing (the paper's prototype): buffers are consumed circularly as
+//    packets arrive and never released. A buffer is valid for one lap of
+//    the ring; if the output side has not drained it by the time the ring
+//    wraps around, the packet is silently overwritten ("effectively lost").
+//    Valid() exposes that.
+//  * kStackPool (the alternative the paper describes but chose not to
+//    build): a stack of free buffers, so lifetime is explicit and no packet
+//    can be overwritten, at an extra SRAM push/pop per packet (measured in
+//    bench/ablation_design). Allocation can fail.
+//
+// Every caller uses the same four calls under both policies: Allocate,
+// Valid, Release, MetaFor. Only the two §3.2.3 SRAM charges (the pop at
+// start-of-packet, the push at TX-complete) read explicit_lifetime().
 
 #ifndef SRC_CORE_BUFFER_ALLOCATOR_H_
 #define SRC_CORE_BUFFER_ALLOCATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,62 +36,57 @@ struct BufferMeta {
   uint32_t packet_id = 0;
   uint8_t arrival_port = 0;
   SimTime ingress_time = 0;
-  uint64_t generation = 0;  // allocator lap when this buffer was issued
+  uint64_t generation = 0;  // allocation count when this buffer was issued
 };
 
-class CircularBufferAllocator {
+class BufferStore {
  public:
-  CircularBufferAllocator(uint32_t dram_base, uint32_t buffer_bytes, uint32_t num_buffers);
+  enum class Policy { kRing, kStackPool };
 
-  // Issues the next buffer in ring order; never fails (old contents are
-  // overwritten). Returns the DRAM byte address.
-  uint32_t Allocate(const BufferMeta& meta);
+  BufferStore(Policy policy, uint32_t dram_base, uint32_t buffer_bytes, uint32_t num_buffers);
 
-  // True if the buffer at `addr` still belongs to generation `generation`
-  // (i.e. the allocator has not lapped it). The output stage checks this to
-  // detect overwritten packets.
-  bool StillValid(uint32_t addr, uint64_t generation) const;
-
-  const BufferMeta& MetaFor(uint32_t addr) const;
-  uint32_t IndexOf(uint32_t addr) const;
-  uint32_t AddressOf(uint32_t index) const { return dram_base_ + index * buffer_bytes_; }
-
-  uint32_t buffer_bytes() const { return buffer_bytes_; }
-  uint32_t num_buffers() const { return num_buffers_; }
-  uint64_t allocations() const { return allocations_; }
-  uint64_t laps() const { return allocations_ / num_buffers_; }
-
- private:
-  const uint32_t dram_base_;
-  const uint32_t buffer_bytes_;
-  const uint32_t num_buffers_;
-  uint32_t next_ = 0;
-  uint64_t allocations_ = 0;
-  std::vector<BufferMeta> meta_;
-  std::vector<uint64_t> generation_;
-};
-
-// The alternative the paper sketches: a stack of free buffers per output
-// port, so lifetime is explicit and no packet can be overwritten. Costs an
-// extra push/pop (SRAM) per packet — measured in bench/ablation.
-class StackBufferPool {
- public:
-  StackBufferPool(uint32_t dram_base, uint32_t buffer_bytes, uint32_t num_buffers);
-
+  // Issues a buffer and stamps `meta` (with a fresh generation) on it.
+  // Returns its DRAM byte address; nullopt only when the stack pool is
+  // empty (the ring never fails: it overwrites the oldest buffer).
   std::optional<uint32_t> Allocate(const BufferMeta& meta);
-  void Free(uint32_t addr);
 
-  const BufferMeta& MetaFor(uint32_t addr) const;
+  // True if the buffer at `addr` still holds the packet of `generation`:
+  // false once the ring has lapped it. Always true under the stack pool.
+  bool Valid(uint32_t addr, uint64_t generation) const;
+
+  // Returns a buffer to the stack pool; a no-op on the ring, whose buffers
+  // expire by being lapped. Releasing a buffer that is not in use is
+  // counted (double_releases) and otherwise ignored.
+  void Release(uint32_t addr);
+
+  const BufferMeta& MetaFor(uint32_t addr) const { return meta_[IndexOf(addr)]; }
+
+  // True under the stack pool: each allocation and release is an SRAM
+  // pop/push that the pipeline must pay for (§3.2.3).
+  bool explicit_lifetime() const { return policy_ == Policy::kStackPool; }
+
+  uint64_t laps() const { return allocations_ / num_buffers_; }
   uint32_t free_count() const { return static_cast<uint32_t>(free_.size()); }
   uint64_t failed_allocations() const { return failures_; }
+  uint64_t double_releases() const { return double_releases_; }
 
  private:
+  uint32_t IndexOf(uint32_t addr) const {
+    assert(addr >= dram_base_ && (addr - dram_base_) / buffer_bytes_ < num_buffers_);
+    return (addr - dram_base_) / buffer_bytes_;
+  }
+
+  const Policy policy_;
   const uint32_t dram_base_;
   const uint32_t buffer_bytes_;
   const uint32_t num_buffers_;
-  std::vector<uint32_t> free_;  // stack of buffer indexes
+  uint32_t next_ = 0;           // ring: next index in ring order
+  std::vector<uint32_t> free_;  // stack pool: free buffer indexes
+  std::vector<bool> in_use_;    // stack pool: the release ledger
   std::vector<BufferMeta> meta_;
+  uint64_t allocations_ = 0;
   uint64_t failures_ = 0;
+  uint64_t double_releases_ = 0;
 };
 
 }  // namespace npr

@@ -103,25 +103,23 @@ bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
     meta.packet_id = claim->mp.tag.packet_id;
     meta.arrival_port = port;
     meta.ingress_time = core_.engine->now();
-    if (core_.stack_pool != nullptr) {
-      // §3.2.3 alternative: explicit lifetime, allocation can fail.
-      auto addr = core_.stack_pool->Allocate(meta);
-      if (!addr) {
-        Retire(core_, Sink::kNoBuffer, meta.packet_id, ObsUnitOf(contexts_.context(ctx_index)),
-               port);
-        as.in_packet = false;
-        return false;
-      }
-      as.buffer_addr = *addr;
-      as.generation = 0;
-    } else {
-      as.buffer_addr = core_.buffers->Allocate(meta);
-      as.generation = core_.buffers->MetaFor(as.buffer_addr).generation;
+    const std::optional<uint32_t> addr = core_.buffers->Allocate(meta);
+    if (!addr) {
+      Retire(core_, Sink::kNoBuffer, meta.packet_id, ObsUnitOf(contexts_.context(ctx_index)),
+             port);
+      as.in_packet = false;
+      return false;
     }
+    as.buffer_addr = *addr;
+    as.generation = core_.buffers->MetaFor(*addr).generation;
     as.next_mp = 0;
     as.in_packet = true;
     NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kPktIngress, claim->mp.tag.packet_id,
                                    ObsUnitOf(contexts_.context(ctx_index)), port));
+  } else if (!as.in_packet) {
+    // A continuation of a packet that got no buffer: consumed and dropped
+    // with it (the packet was counted once, at its first MP).
+    return false;
   }
   claim->buffer_addr = as.buffer_addr;
   claim->mp_index = as.next_mp;
@@ -174,32 +172,34 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
   disp.priority = 0;
 
   // Per-flow VRP program (at most one, §4.6), then the general chain, IP
-  // last being the built-in transform above. Only the per-flow program
-  // picks a queue or raises an exception.
+  // last being the built-in transform above. One verdict rule for every
+  // program: drop drops, trap or except diverts to the StrongARM, and the
+  // last program to pick a queue wins. (Nothing a run triggers mutates the
+  // ISTORE inline, so the chain reference stays valid across the loop.)
+  const auto run_and_continue = [&](const IStoreLayout::GeneralEntry& fwd) {
+    const VrpOutcome run =
+        RunForwarder(fwd, mp_bytes, arrival_port, vrp_cost, packet_id, obs_unit);
+    if (run.queue) {
+      disp.priority =
+          std::min<uint32_t>(*run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
+    }
+    if (run.action == VrpAction::kSend) {
+      return true;
+    }
+    disp.act = run.action == VrpAction::kDrop ? Disposition::Act::kDrop
+                                              : Disposition::Act::kStrongArm;
+    return false;
+  };
   if (outcome.flow != nullptr && outcome.flow->where == Where::kMicroEngine &&
       !core_.istore->IsThrottled(outcome.flow->me_program_id)) {
     const VrpProgram* program = core_.istore->Get(outcome.flow->me_program_id);
-    if (program != nullptr) {
-      const VrpOutcome run = RunForwarder(
-          {program, outcome.flow->state_addr, outcome.flow->me_program_id}, mp_bytes,
-          arrival_port, vrp_cost, packet_id, obs_unit);
-      if (run.queue) {
-        disp.priority = std::min<uint32_t>(
-            *run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
-      }
-      if (run.action != VrpAction::kSend) {
-        disp.act = run.action == VrpAction::kDrop ? Disposition::Act::kDrop
-                                                  : Disposition::Act::kStrongArm;
-        return disp;
-      }
+    if (program != nullptr &&
+        !run_and_continue({program, outcome.flow->state_addr, outcome.flow->me_program_id})) {
+      return disp;
     }
   }
   for (const auto& general : core_.istore->GeneralChain()) {
-    const VrpOutcome run =
-        RunForwarder(general, mp_bytes, arrival_port, vrp_cost, packet_id, obs_unit);
-    if (run.action == VrpAction::kDrop || run.action == VrpAction::kTrap) {
-      disp.act = run.action == VrpAction::kDrop ? Disposition::Act::kDrop
-                                                : Disposition::Act::kStrongArm;
+    if (!run_and_continue(general)) {
       return disp;
     }
   }
@@ -300,7 +300,7 @@ Task InputStage::ContextLoop(int ctx_index) {
 
     co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy);
     st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy;
-    if (core_.stack_pool != nullptr && claim.mp.tag.sop) {
+    if (core_.buffers->explicit_lifetime() && claim.mp.tag.sop) {
       // §3.2.3 alternative: the buffer pop is an extra SRAM round trip.
       co_await ctx.Read(mem.sram(), 4);
       st.sram_reads += 1;
@@ -379,7 +379,7 @@ Task InputStage::ContextLoop(int ctx_index) {
     }
 
     if (claim.mp.tag.eop && claim.disp.act == Disposition::Act::kDrop) {
-      ReleaseBuffer(core_, claim.buffer_addr);
+      core_.buffers->Release(claim.buffer_addr);
     }
     // Enqueue on the packet's last MP (store-and-forward; identical to the
     // paper's cut-through for the 64-byte packets every experiment uses).

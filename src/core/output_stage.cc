@@ -24,11 +24,9 @@ void OutputStage::Start() {
   }
   if (cfg.output_fake_data) {
     // Build the eternal template packet once; the fake descriptor's buffer
-    // is never re-allocated, so the lap check always passes.
-    BufferMeta meta;
-    meta.packet_id = 0;
-    meta.ingress_time = 0;
-    fake_desc_.buffer_addr = core_.buffers->Allocate(meta);
+    // is never re-allocated (nor released), so the lap check always passes.
+    // The store is empty here, so even the stack pool cannot fail.
+    fake_desc_.buffer_addr = *core_.buffers->Allocate(BufferMeta{});
     fake_desc_.generation = core_.buffers->MetaFor(fake_desc_.buffer_addr).generation;
     fake_desc_.mp_count = 1;
     fake_desc_.frame_bytes = 64;
@@ -64,7 +62,7 @@ void OutputStage::CompletePacket(const PacketDescriptor& desc) {
   RouterStats& stats = *core_.stats;
   stats.forwarded += 1;
   stats.forward_rate.Record(core_.engine->now());
-  const BufferMeta& meta = BufferMetaFor(core_, desc.buffer_addr);
+  const BufferMeta& meta = core_.buffers->MetaFor(desc.buffer_addr);
   if (meta.ingress_time > 0) {
     const SimTime latency = core_.engine->now() - meta.ingress_time;
     stats.latency_ns.Add(static_cast<uint64_t>(latency / kPsPerNs));
@@ -183,15 +181,13 @@ Task OutputStage::ContextLoop(int out_ctx_index) {
         cur.batch_remaining -= 1;
       }
 
-      // Buffer-lap check (§3.2.3): if the circular allocator already reused
-      // this buffer, the packet is gone. (The stack pool has no such
-      // hazard — lifetimes are explicit.)
-      if (core_.stack_pool == nullptr &&
-          !core_.buffers->StillValid(desc->buffer_addr, desc->generation)) {
+      // Buffer-lap check (§3.2.3): if the circular ring already reused this
+      // buffer, the packet is gone.
+      if (!core_.buffers->Valid(desc->buffer_addr, desc->generation)) {
         core_.stats->output_lost_iters += 1;
         // The span carries the *successor* packet's id: the lapped packet's
         // id went with the overwritten buffer.
-        Retire(core_, Sink::kLostLap, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+        Retire(core_, Sink::kLostLap, core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                ObsUnitOf(ctx), desc->out_port);
         continue;
       }
@@ -200,7 +196,8 @@ Task OutputStage::ContextLoop(int out_ctx_index) {
       cur.next_mp = 0;
       cur.queue = chosen;
       NPR_OBS_HOOK(core_.obs,
-                   Record(SpanPoint::kOutDequeued, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+                   Record(SpanPoint::kOutDequeued,
+                          core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                           ObsUnitOf(ctx), desc->out_port));
     }
 
@@ -222,7 +219,7 @@ Task OutputStage::ContextLoop(int out_ctx_index) {
 
     Mp mp;
     mem.dram_store().Read(mp_addr, std::span<uint8_t>(mp.data));
-    const BufferMeta& meta = BufferMetaFor(core_, cur.desc.buffer_addr);
+    const BufferMeta& meta = core_.buffers->MetaFor(cur.desc.buffer_addr);
     mp.tag.port = cur.desc.out_port;
     mp.tag.sop = cur.next_mp == 0;
     mp.tag.eop = cur.next_mp + 1 == cur.desc.mp_count;
@@ -250,11 +247,14 @@ Task OutputStage::ContextLoop(int out_ctx_index) {
       CompletePacket(cur.desc);
       NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kPktTxComplete, meta.packet_id, ObsUnitOf(ctx),
                                      cur.desc.out_port));
-      if (core_.stack_pool != nullptr) {
+      if (core_.buffers->explicit_lifetime()) {
         // Return the buffer to the pool: an extra SRAM push (§3.2.3).
         ctx.Post(mem.sram(), 4);
         st.sram_writes += 1;
-        ReleaseBuffer(core_, cur.desc.buffer_addr);
+      }
+      // The fake descriptor's eternal buffer is the one never returned.
+      if (!fake_ready_ || cur.desc.buffer_addr != fake_desc_.buffer_addr) {
+        core_.buffers->Release(cur.desc.buffer_addr);
       }
       cur.active = false;
     }

@@ -153,10 +153,11 @@ void OverloadGovernor::SetStage(int next) {
   NPR_OBS_HOOK(router_.observer(),
                Record(SpanPoint::kGovStage, 0, kUnitGovernor,
                       static_cast<uint16_t>(stage_)));
-  if (!was_shedding_host && ShedHostBound()) {
-    ThrottleExtensions();
-  } else if (was_shedding_host && !ShedHostBound()) {
-    LiftThrottles();
+  if (was_shedding_host != ShedHostBound()) {
+    // Stage 3 throttles every general extension under the governor's own
+    // reason, so entering or leaving it never touches a quarantine throttle.
+    router_.istore().SetGeneralsThrottled(IStoreLayout::ThrottleReason::kGovernor,
+                                          ShedHostBound());
   }
 }
 
@@ -177,30 +178,6 @@ void OverloadGovernor::RebuildHotSets() {
     }
   }
   offered_by_src_.clear();
-}
-
-void OverloadGovernor::ThrottleExtensions() {
-  // Every active general extension in the chain is throttled (packets take
-  // the default IP transform); only handles this governor set are tracked,
-  // so a pre-existing quarantine throttle is left alone and never lifted
-  // from here.
-  for (const auto& entry : router_.istore().GeneralChain()) {
-    if (!router_.istore().IsThrottled(entry.id)) {
-      router_.istore().SetThrottled(entry.id, true);
-      throttled_by_gov_.insert(entry.id);
-    }
-  }
-}
-
-void OverloadGovernor::LiftThrottles() {
-  for (uint32_t id : throttled_by_gov_) {
-    // The program may have been evicted (health quarantine) while throttled;
-    // lifting an unknown handle would be a logged error.
-    if (router_.istore().Get(id) != nullptr) {
-      router_.istore().SetThrottled(id, false);
-    }
-  }
-  throttled_by_gov_.clear();
 }
 
 }  // namespace npr

@@ -120,8 +120,6 @@ class OverloadGovernor : public RxGovernorHooks {
   double Pressure();
   void SetStage(int next);
   void RebuildHotSets();
-  void ThrottleExtensions();
-  void LiftThrottles();
 
   Router& router_;
   OverloadConfig cfg_;
@@ -139,11 +137,6 @@ class OverloadGovernor : public RxGovernorHooks {
   std::map<uint8_t, std::map<uint32_t, uint64_t>> offered_by_src_;
   std::map<uint8_t, std::set<uint32_t>> hot_;
   std::map<uint32_t, uint64_t> quench_by_src_;
-
-  // ISTORE handles this governor throttled at stage 3 — only these are
-  // lifted on de-escalation, so a health-quarantine throttle on the same
-  // store is never clobbered.
-  std::set<uint32_t> throttled_by_gov_;
 };
 
 }  // namespace npr

@@ -64,7 +64,8 @@ Task PentiumHost::PeLoop() {
                                                 static_cast<double>(hp.desc.frame_bytes)));
       sched_.Enqueue(hp.desc.flow_handle, hp);
       NPR_OBS_HOOK(core_.obs,
-                   Record(SpanPoint::kPeIntake, BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
+                   Record(SpanPoint::kPeIntake,
+                          core_.buffers->MetaFor(hp.desc.buffer_addr).packet_id,
                           kUnitPentium, hp.desc.out_port));
       did_work = true;
     }
@@ -164,13 +165,13 @@ Task PentiumHost::PeLoop() {
       ++processed_;
       core_.stats->pentium_processed += 1;
       NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kPeServiced,
-                                     BufferMetaFor(core_, hp->desc.buffer_addr).packet_id,
+                                     core_.buffers->MetaFor(hp->desc.buffer_addr).packet_id,
                                      kUnitPentium, out_port));
 
       if (!forward && !(to_run.empty() && flow == nullptr)) {
         // Dropped or consumed.
         RetireBuffer(core_, Sink::kPeAbsorbed,
-                     BufferMetaFor(core_, hp->desc.buffer_addr).packet_id, hp->desc.buffer_addr,
+                     core_.buffers->MetaFor(hp->desc.buffer_addr).packet_id, hp->desc.buffer_addr,
                      kUnitPentium, out_port);
       }
       // Return path: DMA the (possibly modified) packet back and publish

@@ -33,7 +33,9 @@ Router::Router(RouterConfig config, EventQueue* shared_engine)
       sram_arena_(kSramArenaBase, static_cast<uint32_t>(chip_.memory().sram_store().size())),
       scratch_arena_(kScratchArenaBase,
                      static_cast<uint32_t>(chip_.memory().scratch_store().size())),
-      buffers_(/*dram_base=*/0, config_.hw.buffer_bytes, config_.hw.num_buffers),
+      buffers_(config_.use_stack_buffer_pool ? BufferStore::Policy::kStackPool
+                                             : BufferStore::Policy::kRing,
+               /*dram_base=*/0, config_.hw.buffer_bytes, config_.hw.num_buffers),
       istore_(config_.hw),
       vrp_(chip_.memory().sram_store(), chip_.hash()),
       admission_(config_, istore_),
@@ -60,17 +62,11 @@ Router::Router(RouterConfig config, EventQueue* shared_engine)
       sram_arena_.Alloc(config_.queue_capacity * 4), scratch_arena_.Alloc(8),
       config_.queue_capacity, /*id=*/-2, /*dram_base=*/0, config_.hw.buffer_bytes);
 
-  if (config_.use_stack_buffer_pool) {
-    stack_pool_ = std::make_unique<StackBufferPool>(/*dram_base=*/0, config_.hw.buffer_bytes,
-                                                    config_.hw.num_buffers);
-  }
-
   core_.config = &config_;
   core_.engine = &engine_;
   core_.chip = &chip_;
   core_.host = &host_;
   core_.buffers = &buffers_;
-  core_.stack_pool = stack_pool_.get();
   core_.queues = queues_.get();
   core_.route_table = &route_table_;
   core_.route_cache = &route_cache_;

@@ -131,7 +131,7 @@ class Router {
   InputStage& input_stage() { return *input_; }
   OutputStage& output_stage() { return *output_; }
   QueuePlan& queues() { return *queues_; }
-  CircularBufferAllocator& buffers() { return buffers_; }
+  BufferStore& buffers() { return buffers_; }
   PacketQueue& sa_local_queue() { return *sa_local_queue_; }
   PacketQueue& sa_pentium_queue() { return *sa_pentium_queue_; }
   // Null unless the config carries a non-empty fault plan.
@@ -178,8 +178,7 @@ class Router {
   Arena sram_arena_;
   Arena scratch_arena_;
   uint32_t sram_infra_bytes_ = 0;  // arena watermark at end of construction
-  CircularBufferAllocator buffers_;
-  std::unique_ptr<StackBufferPool> stack_pool_;
+  BufferStore buffers_;
 
   RouteTable route_table_;
   RouteCache route_cache_;

@@ -37,9 +37,7 @@ struct RouterCore {
   Ixp1200* chip = nullptr;
   HostSystem* host = nullptr;
 
-  CircularBufferAllocator* buffers = nullptr;
-  // Non-null when RouterConfig::use_stack_buffer_pool is set.
-  StackBufferPool* stack_pool = nullptr;
+  BufferStore* buffers = nullptr;
   QueuePlan* queues = nullptr;
   RouteTable* route_table = nullptr;
   RouteCache* route_cache = nullptr;
@@ -94,20 +92,6 @@ struct RouterCore {
   UpgradeOrchestrator* upgrade = nullptr;
 };
 
-// Sidecar metadata for a buffer under either allocator.
-inline const BufferMeta& BufferMetaFor(const RouterCore& core, uint32_t addr) {
-  return core.stack_pool != nullptr ? core.stack_pool->MetaFor(addr)
-                                    : core.buffers->MetaFor(addr);
-}
-
-// Releases a buffer if the stack pool owns allocation (no-op for the
-// circular ring, whose buffers expire by being lapped).
-inline void ReleaseBuffer(RouterCore& core, uint32_t addr) {
-  if (core.stack_pool != nullptr) {
-    core.stack_pool->Free(addr);
-  }
-}
-
 // Span unit of a MicroEngine context.
 inline uint8_t ObsUnitOf(const HwContext& ctx) {
   return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
@@ -129,7 +113,7 @@ inline void Retire(RouterCore& core, Sink sink, [[maybe_unused]] uint32_t packet
 inline void RetireBuffer(RouterCore& core, Sink sink, uint32_t packet_id, uint32_t buffer_addr,
                          uint8_t unit, uint16_t arg) {
   Retire(core, sink, packet_id, unit, arg);
-  ReleaseBuffer(core, buffer_addr);
+  core.buffers->Release(buffer_addr);
 }
 
 }  // namespace npr

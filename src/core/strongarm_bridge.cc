@@ -103,7 +103,7 @@ Task StrongArmBridge::SaLoop() {
       auto desc = core_.sa_pentium_queue->Pop();
       if (desc) {
         RetireBuffer(core_, health_shed ? Sink::kShedDegraded : Sink::kGovShedPe,
-                     BufferMetaFor(core_, desc->buffer_addr).packet_id, desc->buffer_addr,
+                     core_.buffers->MetaFor(desc->buffer_addr).packet_id, desc->buffer_addr,
                      kUnitStrongArm, desc->out_port);
       }
       did_work = true;
@@ -114,7 +114,7 @@ Task StrongArmBridge::SaLoop() {
       co_await sa.Read(mem.sram(), 4);
       auto desc = core_.sa_local_queue->Pop();
       if (desc) {
-        RetireBuffer(core_, Sink::kGovShedSa, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+        RetireBuffer(core_, Sink::kGovShedSa, core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                      desc->buffer_addr, kUnitStrongArm, desc->out_port);
       }
       did_work = true;
@@ -160,7 +160,8 @@ Task StrongArmBridge::SaLoop() {
         });
         ++bridged_to_pentium_;
         NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kBridgeToPe, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+                     Record(SpanPoint::kBridgeToPe,
+                            core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                             kUnitStrongArm, desc->out_port));
         if (core_.config->sa_proportional_share) {
           pentium_pass_ += 1.0 / core_.config->sa_pentium_share;
@@ -179,10 +180,12 @@ Task StrongArmBridge::SaLoop() {
         staging_.erase(it);
         from_pentium_.free_q.Push(ptr);
         NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kPeReturned, BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
+                     Record(SpanPoint::kPeReturned,
+                            core_.buffers->MetaFor(hp.desc.buffer_addr).packet_id,
                             kUnitStrongArm, hp.desc.out_port));
         if (feed_mode_) {
           ++feed_roundtrips_;
+          core_.buffers->Release(hp.desc.buffer_addr);
         } else {
           co_await sa.Write(mem.sram(), 4);
           sa.PostBurst(mem.scratch(), 2, 4);
@@ -190,11 +193,11 @@ Task StrongArmBridge::SaLoop() {
           if (q.Push(hp.desc)) {
             core_.queues->MarkReady(q);
             NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kSaReturnEnqueued,
-                                           BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
+                                           core_.buffers->MetaFor(hp.desc.buffer_addr).packet_id,
                                            kUnitStrongArm, hp.desc.out_port));
           } else {
             RetireBuffer(core_, Sink::kQueueFull,
-                         BufferMetaFor(core_, hp.desc.buffer_addr).packet_id, hp.desc.buffer_addr,
+                         core_.buffers->MetaFor(hp.desc.buffer_addr).packet_id, hp.desc.buffer_addr,
                          kUnitStrongArm, hp.desc.out_port);
           }
         }
@@ -204,12 +207,18 @@ Task StrongArmBridge::SaLoop() {
     }
 
     // --- feed mode (Table 4): synthesize Pentium traffic at max rate ---
+    // A buffer is held from here until the round trip completes, so only a
+    // stack pool smaller than the staging ring can run dry.
+    std::optional<uint32_t> feed_buf;
     if (!did_work && feed_mode_ && !to_pentium_.free_q.empty()) {
       BufferMeta meta;
       meta.packet_id = static_cast<uint32_t>(bridged_to_pentium_ + 1);
       meta.ingress_time = core_.engine->now();
+      feed_buf = core_.buffers->Allocate(meta);
+    }
+    if (feed_buf) {
       PacketDescriptor desc;
-      desc.buffer_addr = core_.buffers->Allocate(meta);
+      desc.buffer_addr = *feed_buf;
       desc.frame_bytes = static_cast<uint16_t>(feed_frame_bytes_);
       desc.mp_count = static_cast<uint16_t>((feed_frame_bytes_ + 63) / 64);
       const uint32_t extra_mps = desc.mp_count - 1u;
@@ -243,12 +252,11 @@ Task StrongArmBridge::SaLoop() {
       co_await sa.Read(mem.scratch(), 4);
       co_await sa.Read(mem.sram(), 4);
       auto desc = core_.sa_local_queue->Pop();
-      const bool still_valid =
-          desc && (core_.stack_pool != nullptr ||
-                   core_.buffers->StillValid(desc->buffer_addr, desc->generation));
+      const bool still_valid = desc && core_.buffers->Valid(desc->buffer_addr, desc->generation);
       if (still_valid) {
         NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kSaDequeued, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+                     Record(SpanPoint::kSaDequeued,
+                            core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                             kUnitStrongArm, desc->out_port));
         // Pull the header MP into the StrongARM (it accesses DRAM
         // directly, §3.6).
@@ -400,10 +408,10 @@ Task StrongArmBridge::SaLoop() {
             core_.queues->MarkReady(q);
             NPR_OBS_HOOK(core_.obs,
                          Record(SpanPoint::kSaForwarded,
-                                BufferMetaFor(core_, out.buffer_addr).packet_id, kUnitStrongArm,
+                                core_.buffers->MetaFor(out.buffer_addr).packet_id, kUnitStrongArm,
                                 out_port));
           } else {
-            RetireBuffer(core_, Sink::kQueueFull, BufferMetaFor(core_, out.buffer_addr).packet_id,
+            RetireBuffer(core_, Sink::kQueueFull, core_.buffers->MetaFor(out.buffer_addr).packet_id,
                          out.buffer_addr, kUnitStrongArm, out_port);
           }
         }
@@ -427,27 +435,15 @@ Task StrongArmBridge::SaLoop() {
               BufferMeta bmeta;
               bmeta.packet_id = reply->id();
               bmeta.ingress_time = core_.engine->now();
-              uint32_t buf = 0;
-              bool have_buf = true;
-              if (core_.stack_pool != nullptr) {
-                auto a = core_.stack_pool->Allocate(bmeta);
-                have_buf = a.has_value();
-                if (have_buf) {
-                  buf = *a;
-                }
-              } else {
-                buf = core_.buffers->Allocate(bmeta);
-              }
-              if (have_buf) {
-                mem.dram_store().Write(buf, reply->bytes());
+              if (const std::optional<uint32_t> buf = core_.buffers->Allocate(bmeta)) {
+                mem.dram_store().Write(*buf, reply->bytes());
                 sa.PostBurst(mem.dram(), 2, 32);
                 PacketDescriptor icmp_desc;
-                icmp_desc.buffer_addr = buf;
+                icmp_desc.buffer_addr = *buf;
                 icmp_desc.frame_bytes = static_cast<uint16_t>(reply->size());
                 icmp_desc.mp_count = static_cast<uint16_t>(reply->mp_count());
                 icmp_desc.out_port = back.entry->out_port;
-                icmp_desc.generation =
-                    core_.stack_pool != nullptr ? 0 : core_.buffers->MetaFor(buf).generation;
+                icmp_desc.generation = core_.buffers->MetaFor(*buf).generation;
                 co_await sa.Write(mem.sram(), 4);
                 PacketQueue& iq = core_.queues->QueueFor(0, icmp_desc.out_port, 0);
                 if (iq.Push(icmp_desc)) {
@@ -457,7 +453,7 @@ Task StrongArmBridge::SaLoop() {
                   NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kIcmpOriginated, reply->id(),
                                                  kUnitStrongArm, icmp_desc.out_port));
                 } else {
-                  ReleaseBuffer(core_, buf);
+                  core_.buffers->Release(*buf);
                 }
               }
             }
@@ -465,7 +461,7 @@ Task StrongArmBridge::SaLoop() {
         }
         if (!forward) {
           RetireBuffer(core_, Sink::kSaAbsorbed,
-                       BufferMetaFor(core_, desc->buffer_addr).packet_id, desc->buffer_addr,
+                       core_.buffers->MetaFor(desc->buffer_addr).packet_id, desc->buffer_addr,
                        kUnitStrongArm, desc->out_port);
         }
         ++local_processed_;
@@ -481,7 +477,7 @@ Task StrongArmBridge::SaLoop() {
         // exception queue; the packet content is gone. The span carries the
         // *successor* packet's id (the buffer was reused), so kSaLapped is a
         // non-erasing terminal; reconciliation accounts for it separately.
-        Retire(core_, Sink::kSaLapped, BufferMetaFor(core_, desc->buffer_addr).packet_id,
+        Retire(core_, Sink::kSaLapped, core_.buffers->MetaFor(desc->buffer_addr).packet_id,
                kUnitStrongArm, desc->out_port);
       }
       did_work = true;

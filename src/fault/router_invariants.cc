@@ -228,7 +228,9 @@ void CheckMemoryBounds(Router& router, InvariantReport* report) {
 // to a live holder. Per port, outstanding buffers must equal the frames in
 // flight on that port's wires (plus a mid-reassembly partial); the router
 // pool's outstanding buffers must equal what the StrongARM loop holds
-// across its current suspension. Any excess is a leaked exit path.
+// across its current suspension. Any excess is a leaked exit path. The DRAM
+// buffer store must never have been handed back a buffer that was not in
+// use: that second release would give one buffer to two packets.
 void CheckPoolLedger(Router& router, InvariantReport* report) {
   for (int p = 0; p < router.num_ports(); ++p) {
     const MacPort& port = router.port(p);
@@ -250,6 +252,10 @@ void CheckPoolLedger(Router& router, InvariantReport* report) {
                    " (leak of %" PRId64 ")",
                    router_outstanding, bridge_held,
                    static_cast<int64_t>(router_outstanding) - static_cast<int64_t>(bridge_held)));
+  }
+  if (router.buffers().double_releases() > 0) {
+    Violate(report, Format("buffer store ledger: %" PRIu64 " release(s) of a buffer not in use",
+                           router.buffers().double_releases()));
   }
 }
 

@@ -272,7 +272,7 @@ void HealthMonitor::ApplyQuarantine(uint32_t program_id) {
   }
   if (!q.throttled && q.traps >= cfg_.throttle_after_traps) {
     q.throttled = true;
-    router_.istore().SetThrottled(program_id, true);
+    router_.istore().SetThrottled(program_id, IStoreLayout::ThrottleReason::kQuarantine, true);
     router_.stats().watchdog_fired += 1;
     router_.engine().ScheduleIn(cfg_.throttle_cooldown_ps, [this, program_id] {
       auto lift = quarantine_.find(program_id);
@@ -281,7 +281,8 @@ void HealthMonitor::ApplyQuarantine(uint32_t program_id) {
       }
       lift->second.throttled = false;
       if (router_.istore().Get(program_id) != nullptr) {
-        router_.istore().SetThrottled(program_id, false);
+        router_.istore().SetThrottled(program_id, IStoreLayout::ThrottleReason::kQuarantine,
+                                      false);
       }
     });
   }

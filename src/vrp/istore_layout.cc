@@ -1,10 +1,16 @@
 #include "src/vrp/istore_layout.h"
 
-#include <algorithm>
-
 #include "src/sim/log.h"
 
 namespace npr {
+namespace {
+
+uint8_t WithReason(uint8_t reasons, IStoreLayout::ThrottleReason reason, bool set) {
+  const auto bit = static_cast<uint8_t>(reason);
+  return set ? reasons | bit : reasons & ~bit;
+}
+
+}  // namespace
 
 IStoreLayout::IStoreLayout(const HwConfig& hw)
     : capacity_(hw.istore_slots - hw.istore_ri_slots - hw.istore_classifier_slots),
@@ -20,7 +26,7 @@ std::optional<uint32_t> IStoreLayout::InstallPerFlow(const VrpProgram& program) 
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/false, slots, install_seq_++, 0};
+  entries_[id] = Entry{program, /*general=*/false, slots, 0};
   return id;
 }
 
@@ -33,7 +39,8 @@ std::optional<uint32_t> IStoreLayout::InstallGeneral(const VrpProgram& program,
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/true, slots, install_seq_++, state_addr};
+  entries_[id] = Entry{program, /*general=*/true, slots, state_addr};
+  RebuildChain();
   return id;
 }
 
@@ -51,6 +58,7 @@ bool IStoreLayout::Remove(uint32_t id) {
     used_ -= it->second.retained->slots;
   }
   entries_.erase(it);
+  RebuildChain();
   return true;
 }
 
@@ -100,6 +108,7 @@ bool IStoreLayout::CommitReplace(uint32_t id) {
   entry.slots = entry.staged->slots;
   entry.state_addr = entry.staged->state_addr;
   entry.staged.reset();
+  RebuildChain();
   return true;
 }
 
@@ -114,6 +123,7 @@ bool IStoreLayout::RevertReplace(uint32_t id) {
   entry.slots = entry.retained->slots;
   entry.state_addr = entry.retained->state_addr;
   entry.retained.reset();
+  RebuildChain();
   return true;
 }
 
@@ -142,41 +152,44 @@ const VrpProgram* IStoreLayout::Get(uint32_t id) const {
   return it == entries_.end() ? nullptr : &it->second.program;
 }
 
-bool IStoreLayout::SetThrottled(uint32_t id, bool throttled) {
+bool IStoreLayout::SetThrottled(uint32_t id, ThrottleReason reason, bool throttled) {
   auto it = entries_.find(id);
   if (it == entries_.end()) {
     NPR_ERROR("istore: throttle(%s) on unknown handle %u ignored",
               throttled ? "on" : "off", id);
     return false;
   }
-  it->second.throttled = throttled;
+  it->second.throttle_reasons = WithReason(it->second.throttle_reasons, reason, throttled);
+  RebuildChain();
   return true;
+}
+
+void IStoreLayout::SetGeneralsThrottled(ThrottleReason reason, bool throttled) {
+  for (auto& [id, entry] : entries_) {
+    if (entry.general) {
+      entry.throttle_reasons = WithReason(entry.throttle_reasons, reason, throttled);
+    }
+  }
+  RebuildChain();
 }
 
 bool IStoreLayout::IsThrottled(uint32_t id) const {
   auto it = entries_.find(id);
-  return it != entries_.end() && it->second.throttled;
+  return it != entries_.end() && it->second.throttle_reasons != 0;
 }
 
-std::vector<IStoreLayout::GeneralEntry> IStoreLayout::GeneralChain() const {
+void IStoreLayout::RebuildChain() {
   // Stored in reverse order from the end of the store: the most recently
   // installed general executes first; the first-installed (minimal IP)
-  // executes last.
-  std::vector<std::pair<uint64_t, GeneralEntry>> generals;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.general && !entry.throttled) {
-      generals.emplace_back(entry.install_seq,
-                            GeneralEntry{&entry.program, entry.state_addr, id});
+  // executes last. Install order is handle order, so walking the map
+  // backwards yields it.
+  chain_.clear();
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    const Entry& entry = it->second;
+    if (entry.general && entry.throttle_reasons == 0) {
+      chain_.push_back(GeneralEntry{&entry.program, entry.state_addr, it->first});
     }
   }
-  std::sort(generals.begin(), generals.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<GeneralEntry> chain;
-  chain.reserve(generals.size());
-  for (const auto& [seq, ge] : generals) {
-    chain.push_back(ge);
-  }
-  return chain;
 }
 
 uint64_t IStoreLayout::InstallCostCycles(const VrpProgram& program) const {

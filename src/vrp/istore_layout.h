@@ -25,6 +25,9 @@ namespace npr {
 class IStoreLayout {
  public:
   explicit IStoreLayout(const HwConfig& hw);
+  // The chain points into the entries: not copyable.
+  IStoreLayout(const IStoreLayout&) = delete;
+  IStoreLayout& operator=(const IStoreLayout&) = delete;
 
   // Installs a per-flow forwarder (reached via classifier metadata).
   // Returns its handle, or nullopt if the extension region is full.
@@ -46,13 +49,21 @@ class IStoreLayout {
 
   const VrpProgram* Get(uint32_t id) const;
 
-  // Quarantine throttle: a throttled forwarder keeps its slots but is
-  // skipped by the classify path (packets take the default IP transform)
-  // until the throttle lifts. Returns false — and logs an error — for an
-  // unknown handle: a throttle that silently lands nowhere would leave a
-  // misbehaving (or overloading) forwarder running while its caller
-  // believes it contained.
-  bool SetThrottled(uint32_t id, bool throttled);
+  // Why a forwarder is throttled. Reasons are independent: an entry is
+  // skipped while any one is set, so lifting one never lifts another.
+  enum class ThrottleReason : uint8_t {
+    kQuarantine = 1 << 0,  // health monitor: trap cooldown
+    kGovernor = 1 << 1,    // overload governor: stage 3
+  };
+
+  // A throttled forwarder keeps its slots but is skipped by the classify
+  // path (packets take the default IP transform) until every reason lifts.
+  // Returns false — and logs an error — for an unknown handle: a throttle
+  // that silently lands nowhere would leave a misbehaving (or overloading)
+  // forwarder running while its caller believes it contained.
+  bool SetThrottled(uint32_t id, ThrottleReason reason, bool throttled);
+  // Sets or clears `reason` on every installed general forwarder.
+  void SetGeneralsThrottled(ThrottleReason reason, bool throttled);
   bool IsThrottled(uint32_t id) const;
 
   // --- in-service replacement (hitless upgrade, src/core/upgrade.h) ---
@@ -81,8 +92,10 @@ class IStoreLayout {
   // The staged program (nullptr unless StageReplace is pending commit).
   const VrpProgram* Staged(uint32_t id) const;
 
-  // General forwarders in execution (fall-through) order.
-  std::vector<GeneralEntry> GeneralChain() const;
+  // Unthrottled general forwarders in execution (fall-through) order. Kept
+  // up to date by every call that changes it (install, remove, throttle,
+  // commit, revert), which also invalidates the reference.
+  const std::vector<GeneralEntry>& GeneralChain() const { return chain_; }
 
   // Cycles the StrongARM needs to write this program into one ISTORE
   // (§4.5: two memory accesses per instruction, 40 cycles each).
@@ -105,23 +118,23 @@ class IStoreLayout {
     VrpProgram program;
     bool general;
     uint32_t slots;
-    uint64_t install_seq;
     uint32_t state_addr;
-    bool throttled = false;
+    uint8_t throttle_reasons = 0;  // ThrottleReason bits
     // In-flight replacement: staged before commit, retained after.
     std::optional<Image> staged;
     std::optional<Image> retained;
   };
 
   uint32_t SlotsFor(const Entry& entry, const VrpProgram& program) const;
+  void RebuildChain();
 
   const uint32_t capacity_;       // slots available to extensions (650)
   const uint32_t total_slots_;    // full store (1024)
   const uint32_t write_cycles_per_instr_;
   uint32_t used_ = 0;
   uint32_t next_id_ = 1;
-  uint64_t install_seq_ = 0;
   std::map<uint32_t, Entry> entries_;
+  std::vector<GeneralEntry> chain_;
 };
 
 }  // namespace npr

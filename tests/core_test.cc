@@ -18,10 +18,14 @@
 namespace npr {
 namespace {
 
-// --- CircularBufferAllocator ---
+// --- BufferStore ---
+
+BufferStore Ring(uint32_t num_buffers) {
+  return BufferStore(BufferStore::Policy::kRing, 0, 2048, num_buffers);
+}
 
 TEST(CircularAllocator, RoundRobinAddresses) {
-  CircularBufferAllocator alloc(0, 2048, 4);
+  BufferStore alloc = Ring(4);
   EXPECT_EQ(alloc.Allocate({}), 0u);
   EXPECT_EQ(alloc.Allocate({}), 2048u);
   EXPECT_EQ(alloc.Allocate({}), 4096u);
@@ -31,37 +35,47 @@ TEST(CircularAllocator, RoundRobinAddresses) {
 }
 
 TEST(CircularAllocator, LapInvalidatesOldGeneration) {
-  CircularBufferAllocator alloc(0, 2048, 2);
-  const uint32_t addr = alloc.Allocate({});
+  BufferStore alloc = Ring(2);
+  const uint32_t addr = *alloc.Allocate({});
   const uint64_t gen = alloc.MetaFor(addr).generation;
-  EXPECT_TRUE(alloc.StillValid(addr, gen));
+  EXPECT_TRUE(alloc.Valid(addr, gen));
   alloc.Allocate({});
-  EXPECT_TRUE(alloc.StillValid(addr, gen));  // not yet lapped
-  alloc.Allocate({});                        // reuses the first buffer
-  EXPECT_FALSE(alloc.StillValid(addr, gen)) << "§3.2.3: one lap and the packet is lost";
+  EXPECT_TRUE(alloc.Valid(addr, gen));  // not yet lapped
+  alloc.Allocate({});                   // reuses the first buffer
+  EXPECT_FALSE(alloc.Valid(addr, gen)) << "§3.2.3: one lap and the packet is lost";
+  alloc.Release(addr);
+  EXPECT_EQ(alloc.double_releases(), 0u) << "release is a no-op on the ring";
 }
 
 TEST(CircularAllocator, MetaTravelsWithBuffer) {
-  CircularBufferAllocator alloc(0, 2048, 8);
+  BufferStore alloc = Ring(8);
   BufferMeta meta;
   meta.packet_id = 99;
   meta.arrival_port = 3;
   meta.ingress_time = 1234;
-  const uint32_t addr = alloc.Allocate(meta);
+  const uint32_t addr = *alloc.Allocate(meta);
   EXPECT_EQ(alloc.MetaFor(addr).packet_id, 99u);
   EXPECT_EQ(alloc.MetaFor(addr).arrival_port, 3);
 }
 
 TEST(StackPool, AllocateFreeCycle) {
-  StackBufferPool pool(0, 2048, 2);
+  BufferStore pool(BufferStore::Policy::kStackPool, 0, 2048, 2);
   auto a = pool.Allocate({});
   auto b = pool.Allocate({});
   ASSERT_TRUE(a && b);
   EXPECT_NE(*a, *b);
   EXPECT_FALSE(pool.Allocate({}));  // exhausted — unlike the circular scheme
   EXPECT_EQ(pool.failed_allocations(), 1u);
-  pool.Free(*a);
+  EXPECT_TRUE(pool.Valid(*a, 0)) << "explicit lifetime: no lap to lose a packet to";
+  pool.Release(*a);
+  EXPECT_EQ(pool.free_count(), 1u);
+  // A second release of the same buffer is counted, not pushed: pushing it
+  // would hand one buffer to two packets.
+  pool.Release(*a);
+  EXPECT_EQ(pool.double_releases(), 1u);
+  EXPECT_EQ(pool.free_count(), 1u);
   EXPECT_TRUE(pool.Allocate({}));
+  EXPECT_FALSE(pool.Allocate({}));
 }
 
 // --- PacketQueue ---

@@ -408,7 +408,68 @@ TEST(OverloadInvariants, SilentMacDropIsAViolation) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// --- istore throttle edge cases (satellite) -------------------------------
+// --- istore throttle edge cases ---------------------------------------------
+
+constexpr auto kQuarantine = IStoreLayout::ThrottleReason::kQuarantine;
+
+TEST(OverloadThrottle, QuarantineLiftLeavesTheGovernorThrottle) {
+  // The governor throttles the general extension at stage 3; a quarantine
+  // throttle and its cooldown lift come and go while the flood goes on. The
+  // lift must not take the governor's throttle with it: the governor only
+  // throttles again on its next transition into stage 3.
+  auto router = MakeRouter(GigConfig());
+  router->Start();
+  OverloadGovernor gov(*router);
+  HealthMonitor health(*router);
+  const VrpProgram tagger = BuildDscpTagger();
+  InstallRequest req;
+  req.key = FlowKey::All();
+  req.where = Where::kMicroEngine;
+  req.program = &tagger;
+  ASSERT_TRUE(router->Install(req).ok);
+  const uint32_t handle = router->istore().GeneralChain()[0].id;
+
+  std::vector<std::unique_ptr<TrafficGen>> gens;
+  Flood(*router, &gens, 10.0, {0, 1, 2, 3, 4, 5, 6}, /*victim=*/7);
+  router->RunForMs(3.0);
+  ASSERT_GE(gov.stage(), 3);
+  ASSERT_TRUE(router->istore().IsThrottled(handle));
+
+  const uint64_t fired = router->stats().watchdog_fired;
+  for (uint32_t i = 0; i < health.config().throttle_after_traps; ++i) {
+    health.OnVrpTrap(handle);
+  }
+  router->RunForMs(0.5);
+  ASSERT_EQ(router->stats().watchdog_fired, fired + 1) << "quarantine throttle applied";
+  router->RunForMs(static_cast<double>(health.config().throttle_cooldown_ps) / kPsPerMs + 0.5);
+  ASSERT_GE(gov.stage(), 3) << "the flood still holds the governor at stage 3";
+  EXPECT_TRUE(router->istore().IsThrottled(handle));
+  EXPECT_TRUE(router->istore().GeneralChain().empty());
+
+  // Flood over: the governor lifts its own throttle and the chain is back.
+  router->RunForMs(8.0);
+  EXPECT_EQ(gov.stage(), 0);
+  EXPECT_FALSE(router->istore().IsThrottled(handle));
+  EXPECT_EQ(router->istore().GeneralChain().size(), 1u);
+}
+
+TEST(OverloadThrottle, ReasonsAreIndependent) {
+  IStoreLayout istore(HwConfig::Default());
+  const VrpProgram prog = BuildDscpTagger();
+  const auto id = istore.InstallGeneral(prog);
+  ASSERT_TRUE(id.has_value());
+  istore.SetGeneralsThrottled(IStoreLayout::ThrottleReason::kGovernor, true);
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, true));
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, false));
+  EXPECT_TRUE(istore.IsThrottled(*id)) << "the governor's reason still holds";
+  EXPECT_TRUE(istore.GeneralChain().empty());
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, true));
+  istore.SetGeneralsThrottled(IStoreLayout::ThrottleReason::kGovernor, false);
+  EXPECT_TRUE(istore.IsThrottled(*id)) << "the quarantine's reason still holds";
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, false));
+  EXPECT_FALSE(istore.IsThrottled(*id));
+  EXPECT_EQ(istore.GeneralChain().size(), 1u);
+}
 
 TEST(OverloadThrottle, SetLiftAndRethrottleSequences) {
   const HwConfig hw = HwConfig::Default();
@@ -418,29 +479,29 @@ TEST(OverloadThrottle, SetLiftAndRethrottleSequences) {
   ASSERT_TRUE(id.has_value());
 
   EXPECT_FALSE(istore.IsThrottled(*id));
-  EXPECT_TRUE(istore.SetThrottled(*id, true));
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, true));
   EXPECT_TRUE(istore.IsThrottled(*id));
   EXPECT_TRUE(istore.GeneralChain().empty()) << "throttled generals leave the chain";
   // Idempotent re-throttle, then lift, then re-throttle.
-  EXPECT_TRUE(istore.SetThrottled(*id, true));
-  EXPECT_TRUE(istore.SetThrottled(*id, false));
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, true));
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, false));
   EXPECT_FALSE(istore.IsThrottled(*id));
   EXPECT_EQ(istore.GeneralChain().size(), 1u);
-  EXPECT_TRUE(istore.SetThrottled(*id, true));
+  EXPECT_TRUE(istore.SetThrottled(*id, kQuarantine, true));
   EXPECT_TRUE(istore.IsThrottled(*id));
 }
 
 TEST(OverloadThrottle, UnknownHandleIsALoggedErrorNotASilentNoop) {
   const HwConfig hw = HwConfig::Default();
   IStoreLayout istore(hw);
-  EXPECT_FALSE(istore.SetThrottled(12345, true));
+  EXPECT_FALSE(istore.SetThrottled(12345, kQuarantine, true));
   EXPECT_FALSE(istore.IsThrottled(12345));
   // A removed forwarder's handle goes stale the same way.
   const VrpProgram prog = BuildDscpTagger();
   const auto id = istore.InstallGeneral(prog);
   ASSERT_TRUE(id.has_value());
   EXPECT_TRUE(istore.Remove(*id));
-  EXPECT_FALSE(istore.SetThrottled(*id, true));
+  EXPECT_FALSE(istore.SetThrottled(*id, kQuarantine, true));
 }
 
 // --- admission rejection paths (satellite) --------------------------------

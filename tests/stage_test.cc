@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/router.h"
+#include "src/fault/router_invariants.h"
 #include "src/forwarders/native.h"
 #include "src/forwarders/vrp_programs.h"
 #include "src/net/traffic_gen.h"
@@ -162,6 +165,94 @@ TEST(BufferPools, StackPoolRecyclesUnderSustainedLoad) {
   router.RunForMs(10.0);
   EXPECT_GT(router.stats().dropped_by_vrp, 10'000u);
   EXPECT_EQ(router.stats().dropped_no_buffer, 0u) << "drop path leaked pool buffers";
+}
+
+TEST(BufferPools, StackPoolDropsWholePacketsWhenExhausted) {
+  // Six ports of full-size frames converge on one output: the 8-buffer pool
+  // runs dry, and a packet that gets no buffer at its first MP must lose
+  // its continuation MPs with it rather than write them into a buffer that
+  // still belongs to an earlier packet.
+  RouterConfig cfg;  // real ports
+  cfg.use_stack_buffer_pool = true;
+  cfg.hw.num_buffers = 8;
+  Router router(std::move(cfg));
+  AddRoutes(router);
+  uint64_t delivered = 0;
+  uint64_t broken = 0;
+  router.port(7).SetSink([&](Packet&& p) {
+    ++delivered;
+    broken += p.size() == 1518 && Ipv4Header::Validate(p.l3()) ? 0 : 1;
+  });
+  router.Start();
+  for (int port = 0; port < 6; ++port) {
+    for (uint16_t i = 0; i < 400; ++i) {
+      PacketSpec spec;
+      spec.src_ip = SrcIpForPort(static_cast<uint8_t>(port), 1);
+      spec.dst_ip = DstIpForPort(7, 1);
+      spec.src_port = i;
+      spec.frame_bytes = 1518;
+      router.port(port).InjectFromWire(BuildPacket(spec));
+    }
+  }
+  router.RunForMs(60.0);
+  EXPECT_GT(router.stats().dropped_no_buffer, 0u) << "the pool must run dry";
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(broken, 0u) << "of " << delivered << " delivered frames";
+  const InvariantReport report = RouterInvariants::CheckAll(router);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_TRUE(report.conservation_checked);
+}
+
+// --- general (ALL-keyed) ME forwarders ---
+
+// Installs `code` as an ALL-keyed MicroEngine forwarder, sends `n` packets
+// from port 0 to port 2 and runs until they are through.
+void RunGeneralForwarder(Router& router, std::vector<VrpInstr> code, int n) {
+  VrpProgram program;
+  program.name = "general";
+  program.code = std::move(code);
+  InstallRequest req;
+  req.key = FlowKey::All();
+  req.where = Where::kMicroEngine;
+  req.program = &program;
+  ASSERT_TRUE(router.Install(req).ok);
+  AddRoutes(router);
+  router.Start();
+  for (int i = 0; i < n; ++i) {
+    PacketSpec spec;
+    spec.dst_ip = DstIpForPort(2, 3);
+    router.port(0).InjectFromWire(BuildPacket(spec));
+  }
+  router.RunForMs(2.0);
+}
+
+TEST(GeneralForwarders, ExceptDivertsToStrongArm) {
+  Router router{RouterConfig{}};
+  RunGeneralForwarder(router, {{VrpOp::kExcept, 0, 0, 0}}, 10);
+  EXPECT_EQ(router.stats().exceptional, 10u) << "a general program's except must divert";
+  EXPECT_EQ(router.stats().sa_local_processed, 10u);
+}
+
+TEST(GeneralForwarders, SetQueuePicksTheQueue) {
+  RouterConfig cfg;
+  cfg.queues_per_port = 2;
+  Router router(std::move(cfg));
+  RunGeneralForwarder(router, {{VrpOp::kSetQueue, 0, 0, 1}, {VrpOp::kSend, 0, 0, 0}}, 10);
+  std::set<PacketQueue*> queues[2];
+  for (int ctx = 0; ctx < router.config().input_contexts(); ++ctx) {
+    for (uint32_t prio = 0; prio < 2; ++prio) {
+      queues[prio].insert(&router.queues().QueueFor(ctx, 2, prio));
+    }
+  }
+  uint64_t pushes[2] = {0, 0};
+  for (uint32_t prio = 0; prio < 2; ++prio) {
+    for (PacketQueue* q : queues[prio]) {
+      pushes[prio] += q->pushes();
+    }
+  }
+  EXPECT_EQ(pushes[1], 10u) << "a general program's setq must pick the queue";
+  EXPECT_EQ(pushes[0], 0u);
+  EXPECT_EQ(router.stats().forwarded, 10u);
 }
 
 // --- StrongARM flows and interrupt mode ---

@@ -397,6 +397,45 @@ TEST(IStoreLayout, GeneralChainIsReverseInstallOrder) {
   EXPECT_EQ(chain[1].program->name, "ip");
 }
 
+TEST(IStoreLayout, GeneralChainFollowsEveryChange) {
+  IStoreLayout layout(HwConfig::Default());
+  VrpProgram prog;
+  prog.code.resize(5);
+  const auto chain = [&layout] {
+    std::vector<std::pair<uint32_t, uint32_t>> ids_and_state;
+    for (const IStoreLayout::GeneralEntry& e : layout.GeneralChain()) {
+      ids_and_state.emplace_back(e.id, e.state_addr);
+    }
+    return ids_and_state;
+  };
+  using Chain = std::vector<std::pair<uint32_t, uint32_t>>;
+  const uint32_t a = *layout.InstallGeneral(prog, 100);
+  const uint32_t flow = *layout.InstallPerFlow(prog);  // never in the chain
+  const uint32_t b = *layout.InstallGeneral(prog, 200);
+  const uint32_t c = *layout.InstallGeneral(prog, 300);
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {b, 200}, {a, 100}}));
+
+  EXPECT_TRUE(layout.SetThrottled(b, IStoreLayout::ThrottleReason::kQuarantine, true));
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {a, 100}}));
+  EXPECT_TRUE(layout.SetThrottled(b, IStoreLayout::ThrottleReason::kQuarantine, false));
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {b, 200}, {a, 100}}));
+
+  // Staging alone leaves the active chain; commit swaps the state in place
+  // and revert swaps it back, both keeping the install position.
+  ASSERT_TRUE(layout.StageReplace(b, prog, 222));
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {b, 200}, {a, 100}}));
+  ASSERT_TRUE(layout.CommitReplace(b));
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {b, 222}, {a, 100}}));
+  ASSERT_TRUE(layout.RevertReplace(b));
+  EXPECT_EQ(chain(), (Chain{{c, 300}, {b, 200}, {a, 100}}));
+
+  EXPECT_TRUE(layout.Remove(c));
+  EXPECT_TRUE(layout.Remove(flow));
+  EXPECT_EQ(chain(), (Chain{{b, 200}, {a, 100}}));
+  const uint32_t d = *layout.InstallGeneral(prog, 400);
+  EXPECT_EQ(chain(), (Chain{{d, 400}, {b, 200}, {a, 100}}));
+}
+
 TEST(IStoreLayout, RejectsWhenFull) {
   IStoreLayout layout(HwConfig::Default());
   VrpProgram big;
